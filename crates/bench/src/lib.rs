@@ -36,12 +36,7 @@ impl SolveCase {
     /// Builds the case for one Appendix-I problem.
     pub fn build(id: ProblemId) -> SolveCase {
         let p = TestProblem::build(id);
-        Self::from_matrix(p.name.to_string(), &p.matrix)
-    }
-
-    /// Builds the case from an arbitrary matrix (synthetic workloads pass a
-    /// ready-made unit-lower-triangular dependency matrix).
-    pub fn from_matrix(name: String, a: &Csr) -> SolveCase {
+        let a = &p.matrix;
         let f = ilu0(a).expect("ILU(0) factorization");
         let l = f.l;
         let u = f.u;
@@ -50,7 +45,7 @@ impl SolveCase {
         let n = l.nrows();
         let weights = (0..n).map(|i| 1.0 + l.row_nnz(i) as f64).collect();
         SolveCase {
-            name,
+            name: p.name.to_string(),
             n,
             l,
             u,
@@ -86,12 +81,6 @@ impl SolveCase {
         Schedule::global(&self.wf, p).expect("global schedule")
     }
 
-    /// Local (striped) schedule for `p` simulated processors.
-    pub fn local_schedule(&self, p: usize) -> Schedule {
-        let part = rtpl::inspector::Partition::striped(self.n, p).expect("partition");
-        Schedule::local(&self.wf, &part).expect("local schedule")
-    }
-
     /// Sequential forward-solve time under `cost`.
     pub fn seq_time(&self, cost: &CostModel) -> f64 {
         sim::sim_sequential(self.n, Some(&self.weights), cost)
@@ -108,16 +97,15 @@ pub fn table_cost_model(calibrate: bool) -> CostModel {
     }
 }
 
-/// Milliseconds elapsed by `f`.
-pub fn time_ms(mut f: impl FnMut()) -> f64 {
-    let t0 = Instant::now();
-    f();
-    t0.elapsed().as_secs_f64() * 1e3
-}
-
-/// Median-of-`reps` milliseconds.
+/// Median-of-`reps` milliseconds elapsed by `f`.
 pub fn time_ms_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1)).map(|_| time_ms(&mut f)).collect();
+    let mut samples: Vec<f64> = (0..reps.max(1))
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
 }
@@ -186,11 +174,6 @@ impl Table {
 /// Formats a float with 3 significant decimals.
 pub fn f3(x: f64) -> String {
     format!("{x:.3}")
-}
-
-/// Formats a float with 1 decimal.
-pub fn f1(x: f64) -> String {
-    format!("{x:.1}")
 }
 
 #[cfg(test)]

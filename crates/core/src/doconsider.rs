@@ -111,9 +111,11 @@ impl DoConsider {
 
     /// Emits the **cacheable** analysis product for the runtime service
     /// instead of scheduling inline: a [`rtpl_runtime::LoopSpec`] carrying
-    /// the dependence structure and its stable fingerprint. Hand it to
-    /// [`rtpl_runtime::Runtime::run_spec`] / [`rtpl_runtime::Runtime::run_linear`]
-    /// (or wrap it in a [`rtpl_runtime::Job`] for a batch): the runtime
+    /// the dependence structure and its stable fingerprint. Wrap it in a
+    /// [`rtpl_runtime::Job`] ([`rtpl_runtime::Job::looped`] with a body,
+    /// [`rtpl_runtime::Job::linear`] for the compiled linear recurrence)
+    /// and hand that to [`rtpl_runtime::Runtime::submit`] or
+    /// [`rtpl_runtime::Runtime::submit_batch`]: the runtime
     /// schedules the structure **once**, picks the executor discipline
     /// adaptively, and serves every later request for the same structure —
     /// from any thread — out of its plan cache. This is how the automated
@@ -233,7 +235,7 @@ mod tests {
 
     #[test]
     fn into_spec_routes_the_doconsider_path_through_the_runtime_cache() {
-        use rtpl_runtime::{Runtime, RuntimeConfig};
+        use rtpl_runtime::{Job, Runtime, RuntimeConfig};
         let ia = vec![9usize, 0, 1, 0, 3, 2, 5, 4, 7, 6];
         let b = vec![0.25; 10];
         let xold: Vec<f64> = (0..10).map(|i| i as f64 + 1.0).collect();
@@ -258,11 +260,11 @@ mod tests {
         });
         let spec = DoConsider::from_index_array(&ia).unwrap().into_spec();
         let mut out = vec![0.0; 10];
-        let cold = rt.run_spec(&spec, &body, &mut out).unwrap();
+        let cold = rt.submit(Job::looped(&spec, &body, &mut out)).unwrap();
         assert!(!cold.cached);
         assert_eq!(out, direct);
         let mut out2 = vec![0.0; 10];
-        let warm = rt.run_spec(&spec, &body, &mut out2).unwrap();
+        let warm = rt.submit(Job::looped(&spec, &body, &mut out2)).unwrap();
         assert!(warm.cached, "second submission must hit the cache");
         assert_eq!(out2, direct);
         assert_eq!(rt.stats().loops.builds, 1, "one schedule per structure");

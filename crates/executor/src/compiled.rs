@@ -1142,6 +1142,14 @@ mod tests {
     use rtpl_inspector::{DepGraph, Schedule, Wavefronts};
     use rtpl_sparse::gen::{laplacian_5pt, random_lower};
     use rtpl_sparse::Csr;
+    use std::sync::RwLock;
+
+    /// `exec.body_panic` is a process-global fail point and the test
+    /// runner is multi-threaded: the one test that arms it holds this lock
+    /// as writer, every test that runs a parallel policy holds it as
+    /// reader, so an armed point can only ever fire in the test that armed
+    /// it.
+    static BODY_PANIC_POINT: RwLock<()> = RwLock::new(());
 
     /// The forward lower-triangular solve body, for the uncompiled
     /// reference path.
@@ -1185,6 +1193,7 @@ mod tests {
 
     #[test]
     fn compiled_matches_planned_loop_all_policies() {
+        let _unarmed = BODY_PANIC_POINT.read().unwrap_or_else(|e| e.into_inner());
         for (l, name) in [
             (laplacian_5pt(9, 7).strict_lower(), "mesh"),
             (random_lower(150, 5, 42).strict_lower(), "random"),
@@ -1335,6 +1344,7 @@ mod tests {
 
     #[test]
     fn concurrent_runs_on_shared_plan_are_bit_exact() {
+        let _unarmed = BODY_PANIC_POINT.read().unwrap_or_else(|e| e.into_inner());
         use std::sync::Arc;
         let l = laplacian_5pt(10, 10).strict_lower();
         let n = l.nrows();
@@ -1369,6 +1379,7 @@ mod tests {
 
     #[test]
     fn linear_from_graph_matches_planned_loop() {
+        let _unarmed = BODY_PANIC_POINT.read().unwrap_or_else(|e| e.into_inner());
         // The spec a DoConsider analysis would hand over: coefficients in
         // adjacency order, one per dependence edge.
         let l = random_lower(120, 4, 7).strict_lower();
@@ -1431,6 +1442,7 @@ mod tests {
 
     #[test]
     fn body_panic_failpoint_is_contained_per_policy() {
+        let _armed = BODY_PANIC_POINT.write().unwrap_or_else(|e| e.into_inner());
         use crate::cancel::ExecError;
         use rtpl_sparse::failpoint;
         let l = laplacian_5pt(7, 7).strict_lower();

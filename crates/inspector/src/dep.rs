@@ -372,9 +372,9 @@ mod tests {
         assert_eq!(g1.fingerprint(), g2.fingerprint());
         let g3 = DepGraph::from_lists(3, vec![vec![], vec![0], vec![1]]).unwrap();
         assert_ne!(g1.fingerprint(), g3.fingerprint());
-        // A strictly-lower CSR and its dependence graph share the key, so
-        // the two runtime front doors (matrix, DoConsider spec) meet on
-        // one cache entry for the same structure.
+        // A strictly-lower CSR and its dependence graph share the key: a
+        // loop spec built from the matrix is cached under the matrix's
+        // own pattern fingerprint.
         let l = laplacian_5pt(4, 5).strict_lower();
         let g = DepGraph::from_lower_triangular(&l).unwrap();
         assert_eq!(g.fingerprint(), l.pattern_fingerprint());

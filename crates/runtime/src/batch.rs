@@ -1,13 +1,13 @@
-//! The batched request pipeline: one [`Job`] front door for solves and
+//! The request pipeline: one [`Job`] front door for solves and
 //! `DoConsider`-derived loops, with cross-request scheduling.
 //!
 //! A long-running solver service rarely receives one request at a time —
 //! clients arrive with *batches* of (factors, rhs) pairs and index-array
-//! loops. Routing each one through [`Runtime::solve`] pays the full
-//! per-request toll every time: a structural fingerprint hash, a cache
-//! lookup, a pool lease, a selector decision, and a value gather. A batch
-//! knows more: requests sharing a sparsity structure can share almost all
-//! of that. [`Runtime::submit_batch`] exploits it —
+//! loops. Submitting each one alone pays the full per-request toll every
+//! time: a structural fingerprint hash, a cache lookup, a pool lease, a
+//! selector decision, and a value gather. A batch knows more: requests
+//! sharing a sparsity structure can share almost all of that.
+//! [`Runtime::submit_batch`] exploits it —
 //!
 //! * jobs are **grouped by [`PatternFingerprint`]** (memoized per factor
 //!   object, so the hash itself is paid once per distinct input, not per
@@ -22,11 +22,14 @@
 //!   workers, the expensive inspections of never-seen patterns pipeline
 //!   concurrently with warm executions of cached ones.
 //!
-//! A [`Job`] is one of three requests, all keyed into the same build-once
-//! caches as the single-request front doors:
+//! Each fingerprint group is executed by one of three per-class group
+//! runners, and a lone [`Runtime::submit`] is the same runner on a group
+//! of one — there is no second, single-job execution path.
 //!
-//! * [`JobKind::Solve`] — `L U x = b` for [`IluFactors`] (the
-//!   [`Runtime::solve`] path);
+//! A [`Job`] is one of three requests, each keyed into its own build-once
+//! cache:
+//!
+//! * [`JobKind::Solve`] — `L U x = b` for [`IluFactors`];
 //! * [`JobKind::Loop`] — a generic [`LoopBody`] over a cacheable [`LoopSpec`]
 //!   (the analysis product `rtpl::DoConsider::into_spec` emits);
 //! * [`JobKind::LinearLoop`] — the body-free linear recurrence
@@ -35,9 +38,9 @@
 //!
 //! [`CompiledPlan`]: rtpl_executor::compiled::CompiledPlan
 
-use crate::service::{RunOutcome, Runtime, SolveOutcome};
+use crate::service::Runtime;
 use crate::Result;
-use rtpl_executor::{CancelToken, LoopBody, ValueSource};
+use rtpl_executor::{CancelToken, ExecReport, LoopBody, ValueSource};
 use rtpl_inspector::DepGraph;
 use rtpl_krylov::ExecutorKind;
 use rtpl_sparse::ilu::IluFactors;
@@ -55,10 +58,9 @@ use std::time::{Duration, Instant};
 /// transformer's stack-program IR; that one describes a loop *body*, this
 /// one a loop *structure*.)
 ///
-/// The spec is cheap to clone and share (`Arc` inside); a spec built by
-/// [`DepGraph::from_lower_triangular`] on a strictly lower-triangular CSR
-/// carries the same key as that matrix's pattern fingerprint, so both
-/// runtime front doors meet on one cache entry.
+/// The spec is cheap to clone and share (`Arc` inside); two specs over the
+/// same dependence structure carry the same key and meet on one cache
+/// entry.
 #[derive(Clone, Debug)]
 pub struct LoopSpec {
     graph: Arc<DepGraph>,
@@ -197,39 +199,22 @@ impl<'a, B: LoopBody> Job<'a, B> {
     }
 }
 
-/// The outcome of one [`Job`]: the matching front door's report.
+/// The outcome of one [`Job`].
 #[derive(Clone, Debug)]
-pub enum JobOutcome {
-    /// A [`JobKind::Solve`] ran (see [`SolveOutcome`]).
-    Solve(SolveOutcome),
-    /// A [`JobKind::Loop`] or [`JobKind::LinearLoop`] ran (see [`RunOutcome`]).
-    Loop(RunOutcome),
-}
-
-impl JobOutcome {
-    /// Discipline the job ran under.
-    pub fn policy(&self) -> ExecutorKind {
-        match self {
-            JobOutcome::Solve(s) => s.policy,
-            JobOutcome::Loop(r) => r.policy,
-        }
-    }
-
-    /// `true` when the job's plan came from the cache (no inspection).
-    pub fn cached(&self) -> bool {
-        match self {
-            JobOutcome::Solve(s) => s.cached,
-            JobOutcome::Loop(r) => r.cached,
-        }
-    }
-
+pub struct JobOutcome {
+    /// Discipline the adaptive selector (or the forced config) ran.
+    pub policy: ExecutorKind,
+    /// `true` when the plan came from the cache (no inspection for this
+    /// job).
+    pub cached: bool,
     /// The structure key the job was served under.
-    pub fn pattern(&self) -> PatternFingerprint {
-        match self {
-            JobOutcome::Solve(s) => s.pattern,
-            JobOutcome::Loop(r) => r.pattern,
-        }
-    }
+    pub pattern: PatternFingerprint,
+    /// Requests in flight on this pattern when this job's group started,
+    /// including itself (≥ 2 ⇔ same-pattern requests overlapped).
+    pub concurrent: u64,
+    /// Execution reports: a solve's forward then backward sweep; a loop's
+    /// one run, with no second report.
+    pub reports: (ExecReport, Option<ExecReport>),
 }
 
 /// What one [`Runtime::submit_batch`] call did: per-job outcomes in
@@ -272,6 +257,23 @@ enum JobClass {
     Linear,
 }
 
+impl<B: LoopBody> Job<'_, B> {
+    /// The cache namespace and structural key this job is served under.
+    /// Loop specs carry their key; a solve's is an O(nnz) hash of its
+    /// factors, so the caller says how to obtain it (a batch memoizes it
+    /// per factor object).
+    fn class_key(
+        &self,
+        solve_key: impl FnOnce(&IluFactors) -> PatternFingerprint,
+    ) -> (JobClass, PatternFingerprint) {
+        match &self.kind {
+            JobKind::Solve { factors, .. } => (JobClass::Solve, solve_key(factors)),
+            JobKind::Loop { spec, .. } => (JobClass::Loop, spec.key()),
+            JobKind::LinearLoop { spec, .. } => (JobClass::Linear, spec.key()),
+        }
+    }
+}
+
 /// One fingerprint group: same class, same key, jobs in submission order.
 struct Group<'j, B: LoopBody> {
     class: JobClass,
@@ -281,50 +283,32 @@ struct Group<'j, B: LoopBody> {
 }
 
 impl Runtime {
-    /// Submits one [`Job`] — the unified front door over
-    /// [`Runtime::solve`], [`Runtime::run_spec`] and
-    /// [`Runtime::run_linear`] — with the service's failure containment:
+    /// Submits one [`Job`] with the service's failure containment:
     /// deadlines are enforced, panicking bodies come back as
     /// [`crate::RuntimeError::BodyPanicked`], and a pattern whose
     /// requests keep failing trips its circuit breaker.
+    ///
+    /// A lone job is a batch of one: it runs the same per-class group
+    /// runner a [`Runtime::submit_batch`] group does, called directly on
+    /// the submitting thread — no queue, no grouping pass, no batch
+    /// counters, nothing allocated on the way.
     pub fn submit<B: LoopBody>(&self, job: Job<'_, B>) -> Result<JobOutcome> {
-        let key = match &job.kind {
-            JobKind::Solve { factors, .. } => Self::solve_key(factors),
-            JobKind::Loop { spec, .. } | JobKind::LinearLoop { spec, .. } => spec.key(),
-        };
-        self.breaker_admit(key)?;
-        let token = job.deadline.map(CancelToken::with_deadline);
-        let r = match job.kind {
-            JobKind::Solve { factors, b, x } => self
-                .solve_with_cancel(factors, b, x, token.as_ref())
-                .map(JobOutcome::Solve),
-            JobKind::Loop { spec, body, out } => self
-                .run_spec_with_cancel(spec, body, out, token.as_ref())
-                .map(JobOutcome::Loop),
-            JobKind::LinearLoop {
-                spec,
-                vals,
-                rhs,
-                out,
-            } => self
-                .run_linear_with_cancel(spec, vals, rhs, out, token.as_ref())
-                .map(JobOutcome::Loop),
-        };
-        self.breaker_note(key, &r);
-        if let Err(e) = &r {
-            self.count_error(e);
-        }
-        r
+        let (class, key) = job.class_key(Self::solve_key);
+        let mut outcome = None;
+        self.run_group(class, key, std::iter::once((0, job)), &mut |_, r| {
+            outcome = Some(r)
+        });
+        outcome.expect("invariant: a group of one reports exactly one outcome")
     }
 
     /// Submits a batch of jobs and schedules them **across requests**:
     /// jobs are grouped by structural fingerprint; each group pays one
     /// cache lookup, one pool lease, one scratch lease, and one selector
     /// decision; groups over never-seen patterns are dispatched first so
-    /// their inspections pipeline with warm executions when several batch
-    /// workers are available ([`crate::RuntimeConfig::batch_workers`]).
-    /// Outcomes come back in submission order; per-job failures are
-    /// per-job `Err`s, never a batch abort.
+    /// their inspections pipeline with warm executions when the host has
+    /// several hardware threads (one batch worker per thread, each leasing
+    /// its own pool and scratches). Outcomes come back in submission
+    /// order; per-job failures are per-job `Err`s, never a batch abort.
     pub fn submit_batch<B: LoopBody>(&self, jobs: Vec<Job<'_, B>>) -> BatchOutcome {
         let t0 = Instant::now();
         let njobs = jobs.len();
@@ -345,17 +329,11 @@ impl Runtime {
         let mut group_of: HashMap<(JobClass, u128), usize> = HashMap::new();
         let mut groups: Vec<Group<'_, B>> = Vec::new();
         for (i, job) in jobs.into_iter().enumerate() {
-            let (class, key) = match &job.kind {
-                JobKind::Solve { factors, .. } => {
-                    let ptr: *const IluFactors = *factors;
-                    let key = *fp_memo
-                        .entry(ptr)
-                        .or_insert_with(|| Self::solve_key(factors));
-                    (JobClass::Solve, key)
-                }
-                JobKind::Loop { spec, .. } => (JobClass::Loop, spec.key()),
-                JobKind::LinearLoop { spec, .. } => (JobClass::Linear, spec.key()),
-            };
+            let (class, key) = job.class_key(|factors| {
+                *fp_memo
+                    .entry(factors)
+                    .or_insert_with(|| Self::solve_key(factors))
+            });
             let gi = *group_of.entry((class, key.as_u128())).or_insert_with(|| {
                 let warm = match class {
                     JobClass::Solve => self.solves.contains(key),
@@ -379,27 +357,25 @@ impl Runtime {
         // drain the warm groups concurrently.
         groups.sort_by_key(|g| g.warm);
 
-        let auto = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        let workers = match self.cfg.batch_workers {
-            0 => auto,
-            w => w,
-        }
-        .min(ngroups)
-        .max(1);
+        // One worker per hardware thread. On a single-core host the batch
+        // still wins by amortizing leases, selector traffic and gathers.
+        let workers = std::thread::available_parallelism()
+            .map_or(1, |p| p.get())
+            .min(ngroups);
 
         let queue = Mutex::new(VecDeque::from(groups));
-        let results: Mutex<Vec<(usize, Result<JobOutcome>)>> =
-            Mutex::new(Vec::with_capacity(njobs));
+        // Outcomes land straight in their submission-order slot.
+        let slots: Mutex<Vec<Option<Result<JobOutcome>>>> =
+            Mutex::new((0..njobs).map(|_| None).collect());
         let drain = || loop {
             let group = queue.lock().unwrap_or_else(|e| e.into_inner()).pop_front();
             let Some(group) = group else { break };
-            let outcomes = self.run_group(group);
-            results
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .extend(outcomes);
+            self.run_group(
+                group.class,
+                group.key,
+                group.jobs.into_iter(),
+                &mut |i, r| slots.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(r),
+            );
         };
         if workers == 1 {
             drain();
@@ -417,10 +393,7 @@ impl Runtime {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batch_jobs.fetch_add(njobs as u64, Ordering::Relaxed);
 
-        let mut slots: Vec<Option<Result<JobOutcome>>> = (0..njobs).map(|_| None).collect();
-        for (i, r) in results.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            slots[i] = Some(r);
-        }
+        let slots = slots.into_inner().unwrap_or_else(|e| e.into_inner());
         BatchOutcome {
             jobs: slots
                 .into_iter()
@@ -433,93 +406,117 @@ impl Runtime {
         }
     }
 
-    /// Runs one fingerprint group, amortizing lookup, leases, selector
-    /// traffic, and (where inputs repeat) value gathers over its jobs.
-    fn run_group<B: LoopBody>(&self, group: Group<'_, B>) -> Vec<(usize, Result<JobOutcome>)> {
-        match group.class {
-            JobClass::Solve => self.run_solve_group(group.key, group.jobs),
-            JobClass::Loop => self.run_loop_group(group.key, group.jobs),
-            JobClass::Linear => self.run_linear_group(group.key, group.jobs),
+    /// Runs one fingerprint group — a batch's, or the group of one a lone
+    /// [`Runtime::submit`] is — through its class's runner, amortizing
+    /// lookup, leases, selector traffic, and (where inputs repeat) value
+    /// gathers over its jobs. Each job's result goes to `sink` with its
+    /// submission index. The pattern's circuit is consulted once per
+    /// group: an open one rejects every job without running anything.
+    fn run_group<'j, B: LoopBody + 'j>(
+        &self,
+        class: JobClass,
+        key: PatternFingerprint,
+        jobs: impl Iterator<Item = (usize, Job<'j, B>)>,
+        sink: &mut impl FnMut(usize, Result<JobOutcome>),
+    ) {
+        if let Err(e) = self.breaker_admit(key) {
+            return jobs.for_each(|(i, _)| sink(i, Err(e.clone())));
+        }
+        match class {
+            JobClass::Solve => self.run_solve_group(key, jobs, sink),
+            JobClass::Loop => self.run_loop_group(key, jobs, sink),
+            JobClass::Linear => self.run_linear_group(key, jobs, sink),
         }
     }
 
-    fn run_solve_group<B: LoopBody>(
+    /// Per-job epilogue of the group runners — the one place a finished
+    /// job meets the failure counters and its pattern's circuit — then
+    /// the sink.
+    fn finish_job(
         &self,
         key: PatternFingerprint,
-        jobs: Vec<(usize, Job<'_, B>)>,
-    ) -> Vec<(usize, Result<JobOutcome>)> {
-        if let Err(e) = self.breaker_admit(key) {
-            return fail_all(jobs, e);
+        i: usize,
+        r: Result<JobOutcome>,
+        sink: &mut impl FnMut(usize, Result<JobOutcome>),
+    ) {
+        self.breaker_note(key, &r);
+        if let Err(e) = &r {
+            self.count_error(e);
         }
-        let first = match &jobs[0].1.kind {
-            JobKind::Solve { factors, .. } => *factors,
-            _ => unreachable!("solve group holds solve jobs"),
+        sink(i, r);
+    }
+
+    fn run_solve_group<'j, B: LoopBody + 'j>(
+        &self,
+        key: PatternFingerprint,
+        mut jobs: impl Iterator<Item = (usize, Job<'j, B>)>,
+        sink: &mut impl FnMut(usize, Result<JobOutcome>),
+    ) {
+        let first = jobs.next().expect("invariant: groups are never empty");
+        // A lone job has no peers to collect: the one-job path (every
+        // `submit`) allocates nothing here.
+        let rest: Vec<_> = jobs.collect();
+        let lone = rest.is_empty();
+        let JobKind::Solve { factors: lead, .. } = &first.1.kind else {
+            unreachable!("solve group holds solve jobs")
         };
+        let lead = *lead;
         let mut built = false;
         let slot = self.solves.get_or_build(key, || {
             built = true;
-            self.build_solve_entry(first)
+            self.build_solve_entry(lead)
         });
         let slot = match slot {
             Ok(s) => s,
+            Err(e) if lone => return self.finish_job(key, first.0, Err(e), sink),
             // A solve plan build reads *values* too (the zero-pivot check
             // and `U`'s diagonal inversion happen at plan time), so one
             // value-poisoned job must not sink its same-pattern peers:
-            // fall back to the per-job front door, which retries the
-            // build with each job's own factors (failed builds are
+            // re-run each job as its own group of one, which retries the
+            // build with that job's own factors (failed builds are
             // un-cached and retriable). Amortization is lost only on this
             // error path.
             Err(_) => {
-                return jobs
-                    .into_iter()
-                    .map(|(i, job)| {
-                        let deadline = job.deadline;
-                        let JobKind::Solve { factors, b, x } = job.kind else {
-                            unreachable!("solve group holds solve jobs")
-                        };
-                        let token = deadline.map(CancelToken::with_deadline);
-                        let r = self
-                            .solve_with_cancel(factors, b, x, token.as_ref())
-                            .map(JobOutcome::Solve);
-                        self.note_job_result(key, &r);
-                        (i, r)
-                    })
-                    .collect();
+                for job in std::iter::once(first).chain(rest) {
+                    self.run_solve_group(key, std::iter::once(job), sink);
+                }
+                return;
             }
         };
         let entry = slot.get();
         let kind = self.choose_policy(&entry.adaptive);
         let (mut scratch, info) = entry.scratches.lease(|| entry.compiled.scratch());
         self.note_lease(info);
+        // Sequential runs fork no team — don't lease (or ever spawn) one.
         let lease = kind.policy().map(|_| self.pools.lease());
-        // Sequential group leaders: a factor object appearing exactly once
-        // in the group gains nothing from the gather + run split (its
-        // gather would serve only itself), so such jobs take the one-pass
-        // fused sweep instead. Factors shared by two or more jobs keep the
-        // split path — one gather amortizes over all of them. The fused
-        // sweep never touches the scratch's loaded values, so the `loaded`
-        // memo stays valid across the mix.
+        // Sequential runs: a factor object appearing exactly once in the
+        // group gains nothing from the gather + run split (its gather
+        // would serve only itself), so such jobs — a lone job always —
+        // take the one-pass fused sweep instead (bit-exact with the split
+        // path). Factors shared by two or more jobs keep the split — one
+        // gather amortizes over all of them. The fused sweep never touches
+        // the scratch's loaded values, so the `loaded` memo stays valid
+        // across the mix.
         let mut ptr_uses: HashMap<*const IluFactors, u32> = HashMap::new();
-        if kind == ExecutorKind::Sequential {
-            for (_, job) in &jobs {
+        if kind == ExecutorKind::Sequential && !lone {
+            for (_, job) in std::iter::once(&first).chain(&rest) {
                 if let JobKind::Solve { factors, .. } = &job.kind {
-                    let ptr: *const IluFactors = *factors;
-                    *ptr_uses.entry(ptr).or_insert(0) += 1;
+                    *ptr_uses.entry(*factors).or_insert(0) += 1;
                 }
             }
         }
         let mut loaded: Option<*const IluFactors> = None;
         let (mut wall_sum, mut runs) = (0.0f64, 0u64);
-        let mut out = Vec::with_capacity(jobs.len());
-        for (i, job) in jobs {
-            let deadline = job.deadline;
+        for (i, job) in std::iter::once(first).chain(rest) {
             let JobKind::Solve { factors, b, x } = job.kind else {
                 unreachable!("solve group holds solve jobs")
             };
             let ptr: *const IluFactors = factors;
-            let token = deadline.map(CancelToken::with_deadline);
+            let fused =
+                kind == ExecutorKind::Sequential && (lone || ptr_uses.get(&ptr) == Some(&1));
+            let token = job.deadline.map(CancelToken::with_deadline);
             let r = (|| {
-                let (fwd, bwd) = if ptr_uses.get(&ptr) == Some(&1) {
+                let (fwd, bwd) = if fused {
                     if let Some(cause) = token.as_ref().and_then(CancelToken::check) {
                         return Err(crate::RuntimeError::from(cause));
                     }
@@ -543,43 +540,31 @@ impl Runtime {
                 };
                 wall_sum += (fwd.wall + bwd.wall).as_nanos() as f64;
                 runs += 1;
-                Ok(JobOutcome::Solve(SolveOutcome {
+                Ok(JobOutcome {
                     policy: kind,
                     cached: !std::mem::take(&mut built),
                     pattern: key,
                     concurrent: info.active,
-                    reports: (fwd, bwd),
-                }))
+                    reports: (fwd, Some(bwd)),
+                })
             })();
-            self.note_job_result(key, &r);
-            out.push((i, r));
+            self.finish_job(key, i, r, sink);
         }
         drop(scratch);
         self.observe_group(&entry.adaptive, kind, wall_sum, runs);
-        out
     }
 
-    /// Per-job epilogue of the batched runners: failure counters and the
-    /// pattern's circuit.
-    fn note_job_result(&self, key: PatternFingerprint, r: &Result<JobOutcome>) {
-        self.breaker_note(key, r);
-        if let Err(e) = r {
-            self.count_error(e);
-        }
-    }
-
-    fn run_loop_group<B: LoopBody>(
+    fn run_loop_group<'j, B: LoopBody + 'j>(
         &self,
         key: PatternFingerprint,
-        jobs: Vec<(usize, Job<'_, B>)>,
-    ) -> Vec<(usize, Result<JobOutcome>)> {
-        if let Err(e) = self.breaker_admit(key) {
-            return fail_all(jobs, e);
-        }
-        let spec = match &jobs[0].1.kind {
-            JobKind::Loop { spec, .. } => *spec,
-            _ => unreachable!("loop group holds loop jobs"),
+        jobs: impl Iterator<Item = (usize, Job<'j, B>)>,
+        sink: &mut impl FnMut(usize, Result<JobOutcome>),
+    ) {
+        let mut jobs = jobs.peekable();
+        let Some(JobKind::Loop { spec, .. }) = jobs.peek().map(|(_, job)| &job.kind) else {
+            unreachable!("loop group holds loop jobs")
         };
+        let spec = *spec;
         let mut built = false;
         let slot = self.loops.get_or_build(key, || {
             built = true;
@@ -589,19 +574,14 @@ impl Runtime {
             Ok(s) => s,
             // Loop plans are built from the spec's *structure* alone, so a
             // build failure is identical for every job of the group.
-            Err(e) => {
-                let out = fail_all(jobs, e);
-                for (_, r) in &out {
-                    self.note_job_result(key, r);
-                }
-                return out;
-            }
+            Err(e) => return jobs.for_each(|(i, _)| self.finish_job(key, i, Err(e.clone()), sink)),
         };
         let entry = slot.get();
         let kind = self.choose_policy(&entry.adaptive);
         let (mut wall_sum, mut runs) = (0.0f64, 0u64);
-        let mut results = Vec::with_capacity(jobs.len());
-        // Sequential runs write straight to each job's buffer; parallel
+        // Sequential runs write straight to each job's buffer — no
+        // scratch needed, but the in-flight use is still tracked so
+        // `concurrent`/`peak_same_pattern` see every request; parallel
         // kinds lease one scratch and one pool for the whole group.
         let leased = match kind.policy() {
             None => None,
@@ -622,11 +602,10 @@ impl Runtime {
             }
         };
         for (i, job) in jobs {
-            let deadline = job.deadline;
             let JobKind::Loop { body, out, .. } = job.kind else {
                 unreachable!("loop group holds loop jobs")
             };
-            let token = deadline.map(CancelToken::with_deadline);
+            let token = job.deadline.map(CancelToken::with_deadline);
             let r = (|| {
                 let report = match &leased {
                     None => {
@@ -649,35 +628,32 @@ impl Runtime {
                 };
                 wall_sum += report.wall.as_nanos() as f64;
                 runs += 1;
-                Ok(JobOutcome::Loop(RunOutcome {
+                Ok(JobOutcome {
                     policy: kind,
                     cached: !std::mem::take(&mut built),
                     pattern: key,
                     concurrent,
-                    report,
-                }))
+                    reports: (report, None),
+                })
             })();
-            self.note_job_result(key, &r);
-            results.push((i, r));
+            self.finish_job(key, i, r, sink);
         }
         drop(leased);
         drop(track);
         self.observe_group(&entry.adaptive, kind, wall_sum, runs);
-        results
     }
 
-    fn run_linear_group<B: LoopBody>(
+    fn run_linear_group<'j, B: LoopBody + 'j>(
         &self,
         key: PatternFingerprint,
-        jobs: Vec<(usize, Job<'_, B>)>,
-    ) -> Vec<(usize, Result<JobOutcome>)> {
-        if let Err(e) = self.breaker_admit(key) {
-            return fail_all(jobs, e);
-        }
-        let spec = match &jobs[0].1.kind {
-            JobKind::LinearLoop { spec, .. } => *spec,
-            _ => unreachable!("linear group holds linear jobs"),
+        jobs: impl Iterator<Item = (usize, Job<'j, B>)>,
+        sink: &mut impl FnMut(usize, Result<JobOutcome>),
+    ) {
+        let mut jobs = jobs.peekable();
+        let Some(JobKind::LinearLoop { spec, .. }) = jobs.peek().map(|(_, job)| &job.kind) else {
+            unreachable!("linear group holds linear jobs")
         };
+        let spec = *spec;
         let mut built = false;
         let slot = self.linears.get_or_build(key, || {
             built = true;
@@ -687,13 +663,7 @@ impl Runtime {
             Ok(s) => s,
             // Compiled linear layouts are structure-only too (values only
             // enter at the per-job gather), so the failure is group-wide.
-            Err(e) => {
-                let out = fail_all(jobs, e);
-                for (_, r) in &out {
-                    self.note_job_result(key, r);
-                }
-                return out;
-            }
+            Err(e) => return jobs.for_each(|(i, _)| self.finish_job(key, i, Err(e.clone()), sink)),
         };
         let entry = slot.get();
         let kind = self.choose_policy(&entry.adaptive);
@@ -702,14 +672,12 @@ impl Runtime {
         let lease = kind.policy().map(|p| (p, self.pools.lease()));
         let mut loaded: Option<*const [f64]> = None;
         let (mut wall_sum, mut runs) = (0.0f64, 0u64);
-        let mut out_vec = Vec::with_capacity(jobs.len());
         for (i, job) in jobs {
-            let deadline = job.deadline;
             let JobKind::LinearLoop { vals, rhs, out, .. } = job.kind else {
                 unreachable!("linear group holds linear jobs")
             };
             let ptr: *const [f64] = vals;
-            let token = deadline.map(CancelToken::with_deadline);
+            let token = job.deadline.map(CancelToken::with_deadline);
             let r = (|| {
                 if loaded != Some(ptr) {
                     loaded = None;
@@ -720,6 +688,9 @@ impl Runtime {
                     loaded = Some(ptr);
                 }
                 let report = match &lease {
+                    // Compiled linear sweeps carry no user body; only the
+                    // entry-time deadline check applies on the sequential
+                    // arm.
                     None => {
                         if let Some(cause) = token.as_ref().and_then(CancelToken::check) {
                             return Err(crate::RuntimeError::from(cause));
@@ -737,28 +708,17 @@ impl Runtime {
                 };
                 wall_sum += report.wall.as_nanos() as f64;
                 runs += 1;
-                Ok(JobOutcome::Loop(RunOutcome {
+                Ok(JobOutcome {
                     policy: kind,
                     cached: !std::mem::take(&mut built),
                     pattern: key,
                     concurrent: info.active,
-                    report,
-                }))
+                    reports: (report, None),
+                })
             })();
-            self.note_job_result(key, &r);
-            out_vec.push((i, r));
+            self.finish_job(key, i, r, sink);
         }
         drop(scratch);
         self.observe_group(&entry.adaptive, kind, wall_sum, runs);
-        out_vec
     }
-}
-
-/// Every job of a group failed to even get a plan: report the build error
-/// to each.
-fn fail_all<B: LoopBody>(
-    jobs: Vec<(usize, Job<'_, B>)>,
-    e: crate::RuntimeError,
-) -> Vec<(usize, Result<JobOutcome>)> {
-    jobs.into_iter().map(|(i, _)| (i, Err(e.clone()))).collect()
 }

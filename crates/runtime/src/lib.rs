@@ -30,18 +30,20 @@
 //! ## Architecture
 //!
 //! Every request — single or batched, solve or loop — enters as a
-//! [`Job`] and flows through the same stages:
+//! [`Job`] through one of two doors and runs on **one** execution path:
+//! the per-class group runner. A lone job is a batch of one.
 //!
 //! ```text
 //!  clients (any number of threads)
-//!     │ submit(Job) / submit_batch(Vec<Job>) -> BatchOutcome
-//!     │   (solve / run / run_spec / run_linear are thin single-job doors)
-//!     ▼
+//!     │ submit(Job) -> JobOutcome        submit_batch(Vec<Job>) -> BatchOutcome
+//!     │   a group of one, run directly     group jobs by PatternFingerprint,
+//!     │   (no queue, no allocation)        cold groups first, fan groups
+//!     │                                    over one worker per hardware thread
+//!     ▼                                          ▼
 //!  ┌─────────────────────────── Runtime ───────────────────────────┐
-//!  │  batch scheduler: group jobs by PatternFingerprint,           │
-//!  │  cold groups first, fan groups over batch workers             │
-//!  │        │ one lookup / pool lease / scratch lease /            │
-//!  │        │ selector decision *per group*                        │
+//!  │  group runner (one per job class: solve / loop / linear):     │
+//!  │  breaker admit, then one lookup / pool lease / scratch lease  │
+//!  │  / selector decision *per group*, per-job failure accounting  │
 //!  │        ▼                                                      │
 //!  │  ┌── PlanCache (N shards) ───┐      ┌──────────────────────┐  │
 //!  │  │ shard₀: fp → Slot         │      │ PolicySelector       │  │
@@ -64,32 +66,33 @@
 //!
 //! ## The `Job` front door
 //!
-//! * [`Runtime::submit`] / [`Runtime::submit_batch`] — the unified entry:
-//!   a [`Job`] is a triangular solve ([`JobKind::Solve`]), a generic loop
-//!   body over a cacheable [`LoopSpec`] ([`JobKind::Loop`]), or a compiled
-//!   linear recurrence ([`JobKind::LinearLoop`]). A batch is scheduled
-//!   *across* requests: jobs sharing a fingerprint share one plan, one
-//!   pool lease, one selector decision, and (when they also share a
-//!   factor object) one value gather; cold inspections are queued ahead
-//!   so they pipeline with warm executions on other batch workers.
-//!   [`BatchOutcome`] reports per-job outcomes plus batch wall time.
-//! * [`Runtime::solve`] — cached parallel `L U x = b` for any
-//!   [`IluFactors`]: first request with a new pattern inspects both
-//!   sweeps, builds a [`TriangularSolvePlan`] and compiles it; every
-//!   later request (any values, any thread) reuses it.
-//! * [`Runtime::run`] / [`Runtime::run_spec`] — cached generic planned
-//!   loop for any lower-triangular dependence structure (or any
-//!   [`LoopSpec`] emitted by `rtpl::DoConsider::into_spec`) and
-//!   [`LoopBody`].
-//! * [`Runtime::run_linear`] — cached **compiled** linear-recurrence loop
-//!   (`x(i) = rhs(i) − Σ aₖ·x(depₖ)`) with per-call coefficient gathers.
-//! * [`Runtime::preconditioner`] — adapter implementing
-//!   [`rtpl_krylov::Precondition`]; ILU applications enter through
-//!   `submit` like every other request, so Krylov iterations hit the
-//!   cache from the second application on.
+//! A [`Job`] is a triangular solve ([`Job::solve`]: cached parallel
+//! `L U x = b` for any [`IluFactors`] — the first request with a new
+//! pattern inspects both sweeps, builds a [`TriangularSolvePlan`] and
+//! compiles it; every later request, any values, any thread, reuses it),
+//! a generic [`LoopBody`] over a cacheable [`LoopSpec`] such as
+//! `rtpl::DoConsider::into_spec` emits ([`Job::looped`]), or a compiled
+//! linear recurrence `x(i) = rhs(i) − Σ aₖ·x(depₖ)` with per-call
+//! coefficient gathers ([`Job::linear`]). There are exactly two ways in:
+//!
+//! * [`Runtime::submit`] — one job, run on the calling thread, answered
+//!   with its [`JobOutcome`].
+//! * [`Runtime::submit_batch`] — many jobs, scheduled *across* requests:
+//!   jobs sharing a fingerprint share one plan, one pool lease, one
+//!   selector decision, and (when they also share a factor object) one
+//!   value gather; cold inspections are queued ahead so they pipeline
+//!   with warm executions on other batch workers. [`BatchOutcome`] reports
+//!   per-job outcomes plus batch wall time.
+//!
+//! Both run the same group runners, so deadlines, panic containment, the
+//! per-pattern circuit breaker and every counter behave identically
+//! whichever door a job came through. [`Runtime::preconditioner`] adapts
+//! the front door to [`rtpl_krylov::Precondition`]: ILU applications are
+//! `submit`ted like every other request, so Krylov iterations hit the
+//! cache from the second application on.
 //!
 //! ```
-//! use rtpl_runtime::{Job, Runtime, RuntimeConfig};
+//! use rtpl_runtime::{Job, NoBody, Runtime, RuntimeConfig};
 //! use rtpl_sparse::{gen::laplacian_5pt, ilu0};
 //!
 //! let rt = Runtime::new(RuntimeConfig {
@@ -101,15 +104,15 @@
 //! let (b1, b2) = (vec![1.0; f.n()], vec![2.0; f.n()]);
 //! let (mut x1, mut x2) = (vec![0.0; f.n()], vec![0.0; f.n()]);
 //! // Two same-structure solves in one batch: one plan build, one group.
-//! let out = rt.submit_batch::<rtpl_runtime::NoBody>(vec![
+//! let out = rt.submit_batch::<NoBody>(vec![
 //!     Job::solve(&f, &b1, &mut x1),
 //!     Job::solve(&f, &b2, &mut x2),
 //! ]);
 //! assert_eq!(out.ok_count(), 2);
 //! assert_eq!(out.groups, 1);
 //! assert_eq!(rt.stats().solves.builds, 1);
-//! // Single-job doors remain: a later solve hits the same cache.
-//! let warm = rt.solve(&f, &b1, &mut x1).unwrap();
+//! // A lone job is a batch of one: a later solve hits the same cache.
+//! let warm = rt.submit(Job::<NoBody>::solve(&f, &b1, &mut x1)).unwrap();
 //! assert!(warm.cached);
 //! ```
 //!
@@ -147,7 +150,7 @@
 //! same pattern or different, batched or not — proceed fully in parallel;
 //! each leases a scratch and a worker pool for the duration of its run
 //! and returns both. Overlap is observable, not just possible:
-//! [`SolveOutcome::concurrent`] and [`RuntimeStats::peak_same_pattern`]
+//! [`JobOutcome::concurrent`] and [`RuntimeStats::peak_same_pattern`]
 //! count in-flight requests per pattern (≥ 2 proves the head of the Zipf
 //! curve no longer serializes).
 //!
@@ -187,7 +190,7 @@ pub mod service;
 pub use batch::{BatchOutcome, Job, JobKind, JobOutcome, LoopSpec, NoBody};
 pub use cache::{CacheStats, PlanCache};
 pub use selector::{AdaptiveState, PolicySelector, ARMS};
-pub use service::{CachedIlu, RunOutcome, Runtime, RuntimeConfig, RuntimeStats, SolveOutcome};
+pub use service::{CachedIlu, Runtime, RuntimeConfig, RuntimeStats};
 
 /// Errors surfaced by the runtime service.
 ///

@@ -1,11 +1,13 @@
-//! The runtime service: cached, policy-adaptive front doors.
+//! The runtime service: configuration, counters, cached entries, the
+//! plan-acquisition ladder (memory → store → cold inspection) and the
+//! circuit breaker. Requests enter through `batch.rs`.
 
 use crate::cache::{CacheStats, PlanCache};
 use crate::pools::{LeasePool, PoolSet};
 use crate::selector::{arm_index, AdaptiveState, PolicySelector, ARMS};
 use crate::Result;
 use rtpl_executor::compiled::{CompiledPlan, RunScratch};
-use rtpl_executor::{CancelToken, ExecReport, LoopBody, LoopScratch, PlannedLoop, WorkerPool};
+use rtpl_executor::{LoopScratch, PlannedLoop, WorkerPool};
 use rtpl_inspector::{DepGraph, Partition, Schedule, Wavefronts};
 use rtpl_krylov::{
     CompiledSolveScratch, CompiledTriSolve, ExecutorKind, Precondition, Sorting,
@@ -14,7 +16,7 @@ use rtpl_krylov::{
 use rtpl_sim::{calibrate, CostModel};
 use rtpl_sparse::ilu::IluFactors;
 use rtpl_sparse::wire::{WireError, WireReader, WireWriter};
-use rtpl_sparse::{Csr, PatternFingerprint};
+use rtpl_sparse::PatternFingerprint;
 use rtpl_store::PlanStore;
 use rtpl_verify::VerifyError;
 use std::collections::HashMap;
@@ -41,12 +43,6 @@ pub struct RuntimeConfig {
     /// Force one executor discipline instead of adapting (useful for
     /// experiments and reproducibility runs).
     pub policy: Option<ExecutorKind>,
-    /// Worker threads a [`Runtime::submit_batch`] call may use to run
-    /// fingerprint groups concurrently (`0` = one per available hardware
-    /// thread). Each worker leases its own pool and scratches, so groups
-    /// proceed fully in parallel; on a single-core host the batch still
-    /// wins by amortizing leases, selector traffic, and value gathers.
-    pub batch_workers: usize,
     /// Segment file of the persistent plan store (`None` = no disk tier).
     /// Solve-cache misses consult the store before paying for a cold
     /// inspection, cold builds spill their artifact write-behind, and
@@ -77,17 +73,6 @@ pub struct RuntimeConfig {
     /// Dependences inside a merged phase are honored by each processor's
     /// baked execution order, so results stay bit-exact.
     pub coalesce_factor: f64,
-    /// Run the [`rtpl_verify`] plan verifier over every freshly built
-    /// plan (schedules, barrier plans, compiled layouts) before caching
-    /// it. A failed proof aborts the build with a typed
-    /// `InvalidStructure` error naming the violated edge and counts in
-    /// [`RuntimeStats::verify_failures`]. Defaults to **on in debug
-    /// builds, off in release** — verification is a build-time cost only
-    /// (never on the warm solve path), but cold inspection is already the
-    /// expensive path and release deployments usually prefer the
-    /// throughput. Plans decoded from the persistent store are untrusted
-    /// disk input and are **always** verified, regardless of this flag.
-    pub verify_plans: bool,
 }
 
 impl Default for RuntimeConfig {
@@ -102,12 +87,10 @@ impl Default for RuntimeConfig {
             sorting: Sorting::Global,
             calibrate: true,
             policy: None,
-            batch_workers: 0,
             store_path: None,
             breaker_threshold: 8,
             breaker_cooldown: Duration::from_millis(100),
             coalesce_factor: 1.0,
-            verify_plans: cfg!(debug_assertions),
         }
     }
 }
@@ -119,7 +102,7 @@ pub struct RuntimeStats {
     pub solves: CacheStats,
     /// Generic planned-loop cache counters.
     pub loops: CacheStats,
-    /// Compiled linear-loop cache counters ([`Runtime::run_linear`]).
+    /// Compiled linear-loop cache counters ([`crate::JobKind::LinearLoop`]).
     pub linears: CacheStats,
     /// Batches submitted through [`Runtime::submit_batch`].
     pub batches: u64,
@@ -169,8 +152,8 @@ pub struct RuntimeStats {
     /// with fresh ones.
     pub pool_rebuilds: u64,
     /// Plans proven safe by the [`rtpl_verify`] plan verifier: every
-    /// store-decoded artifact (always checked) plus, when
-    /// [`RuntimeConfig::verify_plans`] is on, every cold build.
+    /// store-decoded artifact (always checked) plus, in debug builds,
+    /// every cold build.
     pub verified_plans: u64,
     /// Plans the verifier rejected. A rejected store artifact is also a
     /// [`RuntimeStats::store_load_errors`] entry and falls back to cold
@@ -255,38 +238,6 @@ impl RuntimeStats {
     }
 }
 
-/// Outcome of one [`Runtime::solve`] request.
-#[derive(Clone, Debug)]
-pub struct SolveOutcome {
-    /// Discipline the adaptive selector (or the forced config) ran.
-    pub policy: ExecutorKind,
-    /// `true` when the plan came from the cache (no inspection this call).
-    pub cached: bool,
-    /// The structure key the request was served under.
-    pub pattern: PatternFingerprint,
-    /// Requests in flight on this pattern when this one started,
-    /// including itself (≥ 2 ⇔ same-pattern requests overlapped).
-    pub concurrent: u64,
-    /// Forward and backward sweep reports.
-    pub reports: (ExecReport, ExecReport),
-}
-
-/// Outcome of one [`Runtime::run`] request.
-#[derive(Clone, Debug)]
-pub struct RunOutcome {
-    /// Discipline the adaptive selector (or the forced config) ran.
-    pub policy: ExecutorKind,
-    /// `true` when the plan came from the cache (no inspection this call).
-    pub cached: bool,
-    /// The structure key the request was served under.
-    pub pattern: PatternFingerprint,
-    /// Requests in flight on this pattern when this one started,
-    /// including itself (≥ 2 ⇔ same-pattern requests overlapped).
-    pub concurrent: u64,
-    /// Execution report.
-    pub report: ExecReport,
-}
-
 /// Cached state for one factor structure: the immutable compiled plan
 /// (shared by every in-flight request) plus a lease pool of per-run
 /// scratches. N threads hitting the same fingerprint run N solves in
@@ -309,7 +260,7 @@ pub struct LoopEntry {
 }
 
 /// Cached state for one compiled linear-recurrence loop structure
-/// ([`Runtime::run_linear`] / [`crate::JobKind::LinearLoop`]): the
+/// ([`crate::JobKind::LinearLoop`]): the
 /// schedule-order [`CompiledPlan`] layout plus leased [`RunScratch`]es.
 pub struct LinearEntry {
     pub(crate) compiled: CompiledPlan,
@@ -350,6 +301,16 @@ pub struct Runtime {
     /// (bounded; see [`BREAKER_CAPACITY`]).
     pub(crate) breaker: Mutex<HashMap<u128, BreakerState>>,
 }
+
+/// Whether freshly built plans (schedules, barrier plans, compiled
+/// layouts) are run through the [`rtpl_verify`] plan verifier before being
+/// cached: **on in debug builds, off in release**. Verification is a
+/// build-time cost only (never on the warm run path), but cold inspection
+/// is already the expensive path. A failed proof aborts the build with a
+/// typed `InvalidStructure` error naming the violated edge and counts in
+/// [`RuntimeStats::verify_failures`]. Plans decoded from the persistent
+/// store are untrusted disk input and are **always** verified.
+const VERIFY_FRESH_PLANS: bool = cfg!(debug_assertions);
 
 /// Most patterns a [`Runtime`] tracks breaker state for. Only *failing*
 /// patterns occupy a slot (success evicts), so hitting the bound means
@@ -429,8 +390,7 @@ impl Runtime {
     }
 
     /// Folds one finished request's error (if any) into the failure
-    /// counters. Called where per-request results are finalized (the
-    /// `submit`/`submit_batch` front door), never in the inner doors, so
+    /// counters. Called only from the group runners' per-job epilogue, so
     /// each failure is counted exactly once.
     pub(crate) fn count_error(&self, e: &crate::RuntimeError) {
         match e {
@@ -560,7 +520,7 @@ impl Runtime {
     }
 
     /// Acquires one solve pattern's entry: the memory-cache miss path of
-    /// [`Runtime::solve`] and of solve groups in a batch. With a store
+    /// solve groups. With a store
     /// attached, a persisted artifact is decoded instead of re-running the
     /// inspector; otherwise (or when the record is absent, corrupt, or
     /// built for a different processor count) the pattern pays the full
@@ -625,7 +585,7 @@ impl Runtime {
             prior[k] = pl[k] + pu[k];
         }
         let compiled = plan.compile()?;
-        if self.cfg.verify_plans {
+        if VERIFY_FRESH_PLANS {
             self.verify_or_reject(rtpl_verify::verify_tri_solve(&compiled))?;
         }
         self.note_solve_plan(&compiled);
@@ -758,7 +718,7 @@ impl Runtime {
             )));
         }
         // Disk input is untrusted: prove the decoded plan safe before it
-        // can reach the cache, regardless of `cfg.verify_plans`. A mutant
+        // can reach the cache, regardless of `VERIFY_FRESH_PLANS`. A mutant
         // artifact costs one counted load error and a cold fallback.
         if let Err(e) = rtpl_verify::verify_tri_solve(&compiled) {
             self.verify_failures.fetch_add(1, Ordering::Relaxed);
@@ -800,8 +760,8 @@ impl Runtime {
         }
     }
 
-    /// Schedules one generic loop structure (the cold path of
-    /// [`Runtime::run`], [`Runtime::run_spec`], and loop groups).
+    /// Schedules one generic loop structure (the cold path of loop
+    /// groups).
     pub(crate) fn build_loop_entry(&self, g: DepGraph) -> Result<LoopEntry> {
         let wf = Wavefronts::compute(&g)?;
         let mut schedule = self.build_schedule(&wf, g.n())?;
@@ -809,7 +769,7 @@ impl Runtime {
             schedule = schedule.coalesce(&g, grain)?.0;
         }
         let plan = PlannedLoop::new(g, schedule)?;
-        if self.cfg.verify_plans {
+        if VERIFY_FRESH_PLANS {
             self.verify_or_reject(rtpl_verify::verify_plan(
                 plan.graph(),
                 plan.schedule(),
@@ -825,8 +785,7 @@ impl Runtime {
     }
 
     /// Schedules **and compiles** one linear-recurrence loop structure
-    /// into its schedule-order layout (the cold path of
-    /// [`Runtime::run_linear`] and linear groups).
+    /// into its schedule-order layout (the cold path of linear groups).
     pub(crate) fn build_linear_entry(&self, spec: &crate::LoopSpec) -> Result<LinearEntry> {
         let g = spec.graph().clone();
         let wf = Wavefronts::compute(&g)?;
@@ -838,7 +797,7 @@ impl Runtime {
         let prior = self.selector.predict(&plan);
         let cspec = rtpl_executor::compiled::CompiledSpec::linear_from_graph(plan.graph());
         let compiled = CompiledPlan::compile(&plan, &cspec).map_err(map_compiled)?;
-        if self.cfg.verify_plans {
+        if VERIFY_FRESH_PLANS {
             self.verify_or_reject(rtpl_verify::verify_linear(&plan, &compiled))?;
         }
         Ok(LinearEntry {
@@ -867,256 +826,6 @@ impl Runtime {
     /// The cost model driving policy priors (calibrated or abstract).
     pub fn cost_model(&self) -> &CostModel {
         self.selector.cost_model()
-    }
-
-    /// Solves `L U x = b` for any factors, through the plan cache.
-    ///
-    /// The cache key is the *structure* of `(L, U)`; the numeric values of
-    /// `factors` are applied per call, so refactorized numbers on an
-    /// unchanged pattern still hit. The first request for a pattern
-    /// inspects both sweeps (dependence graphs, wavefronts, schedules,
-    /// minimal barrier sets) and predicts every policy's cost; later
-    /// requests run immediately under the current best policy.
-    pub fn solve(&self, factors: &IluFactors, b: &[f64], x: &mut [f64]) -> Result<SolveOutcome> {
-        self.solve_with_cancel(factors, b, x, None)
-    }
-
-    /// [`Runtime::solve`] with failure containment: a fired `cancel`
-    /// token (explicit or deadline) or a mid-sweep worker panic comes
-    /// back as a typed error for *this* request; the cached plan, the
-    /// leased scratch, and the worker pool all stay in service.
-    pub(crate) fn solve_with_cancel(
-        &self,
-        factors: &IluFactors,
-        b: &[f64],
-        x: &mut [f64],
-        cancel: Option<&CancelToken>,
-    ) -> Result<SolveOutcome> {
-        let key = Self::solve_key(factors);
-        let mut built = false;
-        let slot = self.solves.get_or_build(key, || {
-            built = true;
-            self.build_solve_entry(factors)
-        })?;
-        let entry = slot.get();
-        let kind = self.choose_policy(&entry.adaptive);
-        let (mut scratch, info) = entry.scratches.lease(|| entry.compiled.scratch());
-        self.note_lease(info);
-        // Sequential runs fork no team — don't lease (or ever spawn) one.
-        let lease = kind.policy().map(|_| self.pools.lease());
-        // The scratch lease is RAII: an error (or panic) returns it and
-        // keeps the overlap counters honest. Lone sequential requests take
-        // the fused path: one pass over each factor's values instead of
-        // gather + run (bit-exact with the split path; the batched
-        // `submit_batch` flow keeps the split so one gather serves a whole
-        // same-factor group).
-        let (fwd, bwd) = if kind == ExecutorKind::Sequential {
-            if let Some(cause) = cancel.and_then(CancelToken::check) {
-                return Err(crate::RuntimeError::from(cause));
-            }
-            entry
-                .compiled
-                .solve_fused_sequential(factors, b, x, &mut scratch)?
-        } else {
-            entry.compiled.load_values(factors, &mut scratch)?;
-            entry.compiled.solve_loaded_cancellable(
-                lease.as_deref(),
-                kind,
-                b,
-                x,
-                &mut scratch,
-                cancel,
-            )?
-        };
-        drop(scratch);
-        let wall_ns = (fwd.wall + bwd.wall).as_nanos() as f64;
-        entry
-            .adaptive
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .observe(kind, wall_ns);
-        self.policy_runs[arm_index(kind)].fetch_add(1, Ordering::Relaxed);
-        Ok(SolveOutcome {
-            policy: kind,
-            cached: !built,
-            pattern: key,
-            concurrent: info.active,
-            reports: (fwd, bwd),
-        })
-    }
-
-    /// Runs a generic loop over the dependence structure of a
-    /// lower-triangular matrix (diagonal entries allowed and ignored),
-    /// through the plan cache.
-    ///
-    /// The body is the caller's; only the *structure* is cached, so the
-    /// same pattern may be run with any body and any values. Results land
-    /// in `out` exactly as from [`PlannedLoop::run`].
-    pub fn run<B: LoopBody>(&self, l: &Csr, body: &B, out: &mut [f64]) -> Result<RunOutcome> {
-        let key = l.pattern_fingerprint();
-        let mut built = false;
-        let slot = self.loops.get_or_build(key, || {
-            built = true;
-            self.build_loop_entry(DepGraph::from_lower_triangular(l)?)
-        })?;
-        self.run_loop_entry(slot.get(), key, built, body, out, None)
-    }
-
-    /// Runs a generic loop over a cacheable [`crate::LoopSpec`] — the
-    /// analysis product `rtpl::DoConsider::into_spec` emits. The first
-    /// request for a spec's structure schedules it; every later request
-    /// (same or different body/values) reuses the cached [`PlannedLoop`].
-    /// Output is bit-exact with running the plan directly.
-    pub fn run_spec<B: LoopBody>(
-        &self,
-        spec: &crate::LoopSpec,
-        body: &B,
-        out: &mut [f64],
-    ) -> Result<RunOutcome> {
-        self.run_spec_with_cancel(spec, body, out, None)
-    }
-
-    /// [`Runtime::run_spec`] with failure containment (see
-    /// [`Runtime::solve_with_cancel`]).
-    pub(crate) fn run_spec_with_cancel<B: LoopBody>(
-        &self,
-        spec: &crate::LoopSpec,
-        body: &B,
-        out: &mut [f64],
-        cancel: Option<&CancelToken>,
-    ) -> Result<RunOutcome> {
-        let key = spec.key();
-        let mut built = false;
-        let slot = self.loops.get_or_build(key, || {
-            built = true;
-            self.build_loop_entry(spec.graph().clone())
-        })?;
-        self.run_loop_entry(slot.get(), key, built, body, out, cancel)
-    }
-
-    /// The shared execution half of [`Runtime::run`] / [`Runtime::run_spec`].
-    pub(crate) fn run_loop_entry<B: LoopBody>(
-        &self,
-        entry: &LoopEntry,
-        key: PatternFingerprint,
-        built: bool,
-        body: &B,
-        out: &mut [f64],
-        cancel: Option<&CancelToken>,
-    ) -> Result<RunOutcome> {
-        let kind = self.choose_policy(&entry.adaptive);
-        let (report, concurrent) = match kind.policy() {
-            // The sequential reference writes straight to `out` — no
-            // scratch needed, but the in-flight use is still counted so
-            // `concurrent`/`peak_same_pattern` see every request. A
-            // sequential run has no cancellation points, so the token is
-            // consulted once at entry; a panicking body unwinds only to
-            // here and fails this request alone.
-            None => {
-                let (_guard, active) = entry.scratches.track();
-                self.peak_same_pattern.fetch_max(active, Ordering::Relaxed);
-                if let Some(cause) = cancel.and_then(CancelToken::check) {
-                    return Err(crate::RuntimeError::from(cause));
-                }
-                let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    entry.plan.run_sequential(body, out)
-                }))
-                .map_err(|_| crate::RuntimeError::BodyPanicked { workers: 0 })?;
-                (report, active)
-            }
-            Some(policy) => {
-                let (scratch, info) = entry.scratches.lease(|| entry.plan.scratch());
-                self.note_lease(info);
-                let pool = self.pools.lease();
-                let report = entry
-                    .plan
-                    .try_run_in(&scratch, &pool, policy, body, out, cancel)?;
-                (report, info.active)
-            }
-        };
-        let wall_ns = report.wall.as_nanos() as f64;
-        entry
-            .adaptive
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .observe(kind, wall_ns);
-        self.policy_runs[arm_index(kind)].fetch_add(1, Ordering::Relaxed);
-        Ok(RunOutcome {
-            policy: kind,
-            cached: !built,
-            pattern: key,
-            concurrent,
-            report,
-        })
-    }
-
-    /// Runs the linear recurrence `x(i) = rhs(i) − Σ a_k·x(dep_k)` over a
-    /// cacheable [`crate::LoopSpec`], through the **compiled** loop cache:
-    /// the first request compiles the structure into a schedule-order
-    /// layout ([`CompiledPlan`]); every later request attaches `vals` (one
-    /// coefficient per dependence edge, adjacency order) by a one-pass
-    /// gather and streams the layout. Bit-exact with running an equivalent
-    /// body through [`Runtime::run_spec`].
-    pub fn run_linear(
-        &self,
-        spec: &crate::LoopSpec,
-        vals: &[f64],
-        rhs: &[f64],
-        out: &mut [f64],
-    ) -> Result<RunOutcome> {
-        self.run_linear_with_cancel(spec, vals, rhs, out, None)
-    }
-
-    /// [`Runtime::run_linear`] with failure containment (see
-    /// [`Runtime::solve_with_cancel`]).
-    pub(crate) fn run_linear_with_cancel(
-        &self,
-        spec: &crate::LoopSpec,
-        vals: &[f64],
-        rhs: &[f64],
-        out: &mut [f64],
-        cancel: Option<&CancelToken>,
-    ) -> Result<RunOutcome> {
-        let key = spec.key();
-        let mut built = false;
-        let slot = self.linears.get_or_build(key, || {
-            built = true;
-            self.build_linear_entry(spec)
-        })?;
-        let entry = slot.get();
-        let kind = self.choose_policy(&entry.adaptive);
-        let (mut scratch, info) = entry.scratches.lease(|| entry.compiled.scratch());
-        self.note_lease(info);
-        entry
-            .compiled
-            .load_values(&mut scratch, vals)
-            .map_err(map_compiled)?;
-        let report = match kind.policy() {
-            None => {
-                // Compiled linear sweeps carry no user body; only the
-                // entry-time deadline check applies on the sequential arm.
-                if let Some(cause) = cancel.and_then(CancelToken::check) {
-                    return Err(crate::RuntimeError::from(cause));
-                }
-                entry.compiled.run_sequential(&mut scratch, rhs, out)
-            }
-            Some(policy) => {
-                let pool = self.pools.lease();
-                entry
-                    .compiled
-                    .try_run(&pool, policy, &mut scratch, rhs, out, cancel)?
-            }
-        };
-        let concurrent = info.active;
-        drop(scratch);
-        self.observe_group(&entry.adaptive, kind, report.wall.as_nanos() as f64, 1);
-        Ok(RunOutcome {
-            policy: kind,
-            cached: !built,
-            pattern: key,
-            concurrent,
-            report,
-        })
     }
 
     /// The attached persistent plan store, if any.
@@ -1285,7 +994,8 @@ impl Precondition for CachedIlu<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtpl_executor::ValueSource;
+    use crate::{Job, NoBody};
+    use rtpl_executor::{LoopBody, ValueSource};
     use rtpl_sparse::gen::laplacian_5pt;
     use rtpl_sparse::ilu0;
     use rtpl_sparse::triangular::{solve_lower, solve_upper, Diag};
@@ -1316,7 +1026,7 @@ mod tests {
             let b: Vec<f64> = (0..n).map(|i| ((i + round) as f64 * 0.17).sin()).collect();
             let expect = reference(&f, &b);
             let mut x = vec![0.0; n];
-            let out = rt.solve(&f, &b, &mut x).unwrap();
+            let out = rt.submit(Job::<NoBody>::solve(&f, &b, &mut x)).unwrap();
             assert_eq!(out.cached, round > 0);
             assert!(
                 rtpl_sparse::dense::max_abs_diff(&x, &expect) < 1e-12,
@@ -1348,7 +1058,7 @@ mod tests {
         let b = vec![1.0; n];
         let mut x = vec![0.0; n];
         for _ in 0..8 {
-            let out = rt.solve(&f, &b, &mut x).unwrap();
+            let out = rt.submit(Job::<NoBody>::solve(&f, &b, &mut x)).unwrap();
             assert_eq!(out.policy, ExecutorKind::Sequential);
         }
         let s = rt.stats();
@@ -1363,8 +1073,8 @@ mod tests {
         let f = ilu0(&laplacian_5pt(6, 6)).unwrap();
         let b = vec![1.0; f.n()];
         let mut x = vec![0.0; f.n()];
-        rt.solve(&f, &b, &mut x).unwrap();
-        rt.solve(&f, &b, &mut x).unwrap();
+        rt.submit(Job::<NoBody>::solve(&f, &b, &mut x)).unwrap();
+        rt.submit(Job::<NoBody>::solve(&f, &b, &mut x)).unwrap();
         let text = rt.stats().render_plaintext();
         for needle in [
             "rtpl_solve_cache_hits 1",
@@ -1403,7 +1113,7 @@ mod tests {
                 ..test_cfg()
             });
             let mut x = vec![0.0; n];
-            rt.solve(&f, &b, &mut x).unwrap();
+            rt.submit(Job::<NoBody>::solve(&f, &b, &mut x)).unwrap();
             (x, rt.stats())
         };
         let (x_on, s_on) = seq(1.0);
@@ -1445,7 +1155,7 @@ mod tests {
         {
             let rt = Runtime::new(store_cfg(&path));
             let mut x = vec![0.0; n];
-            rt.solve(&f, &b, &mut x).unwrap();
+            rt.submit(Job::<NoBody>::solve(&f, &b, &mut x)).unwrap();
             rt.store().unwrap().flush();
         }
         let rt = Runtime::new(RuntimeConfig {
@@ -1453,7 +1163,7 @@ mod tests {
             ..store_cfg(&path)
         });
         let mut x = vec![0.0; n];
-        rt.solve(&f, &b, &mut x).unwrap();
+        rt.submit(Job::<NoBody>::solve(&f, &b, &mut x)).unwrap();
         assert!(rtpl_sparse::dense::max_abs_diff(&x, &reference(&f, &b)) < 1e-12);
         assert_eq!(rt.stats().store_hits, 1, "artifact itself still serves");
         let _ = std::fs::remove_file(&path);
@@ -1467,14 +1177,14 @@ mod tests {
         let n = f1.n();
         let b = vec![1.0; n];
         let mut x = vec![0.0; n];
-        rt.solve(&f1, &b, &mut x).unwrap();
+        rt.submit(Job::<NoBody>::solve(&f1, &b, &mut x)).unwrap();
         // New numbers, same pattern: no new plan, correct new answer.
         let mut a2 = a.clone();
         for (k, v) in a2.data_mut().iter_mut().enumerate() {
             *v *= 1.0 + 0.02 * (k % 5) as f64;
         }
         let f2 = ilu0(&a2).unwrap();
-        let out = rt.solve(&f2, &b, &mut x).unwrap();
+        let out = rt.submit(Job::<NoBody>::solve(&f2, &b, &mut x)).unwrap();
         assert!(out.cached);
         assert_eq!(rt.stats().solves.builds, 1);
         assert!(rtpl_sparse::dense::max_abs_diff(&x, &reference(&f2, &b)) < 1e-12);
@@ -1490,7 +1200,7 @@ mod tests {
         let b = vec![1.0; f.n()];
         let mut x = vec![0.0; f.n()];
         for _ in 0..3 {
-            let out = rt.solve(&f, &b, &mut x).unwrap();
+            let out = rt.submit(Job::<NoBody>::solve(&f, &b, &mut x)).unwrap();
             assert_eq!(out.policy, ExecutorKind::PreScheduledElided);
         }
         let s = rt.stats();
@@ -1515,15 +1225,17 @@ mod tests {
         let rt = Runtime::new(test_cfg());
         let l = laplacian_5pt(8, 8).strict_lower();
         let g = DepGraph::from_lower_triangular(&l).unwrap();
+        let spec = crate::LoopSpec::new(g.clone());
         let n = l.nrows();
         let mut expect = vec![0.0; n];
         rtpl_executor::sequential_body(n, &Count(&g), &mut expect);
         for round in 0..4 {
             let mut out = vec![0.0; n];
-            let res = rt.run(&l, &Count(&g), &mut out).unwrap();
+            let res = rt.submit(Job::looped(&spec, &Count(&g), &mut out)).unwrap();
             assert_eq!(out, expect);
             assert_eq!(res.cached, round > 0);
-            assert_eq!(res.report.total_iters() as usize, n);
+            assert_eq!(res.reports.0.total_iters() as usize, n);
+            assert!(res.reports.1.is_none(), "a loop runs one sweep");
         }
         assert_eq!(rt.stats().loops.builds, 1);
     }
@@ -1575,7 +1287,7 @@ mod tests {
         let b = vec![1.0; f.n()];
         let mut x = vec![0.0; f.n()];
         for _ in 0..6 {
-            let out = rt.solve(&f, &b, &mut x).unwrap();
+            let out = rt.submit(Job::<NoBody>::solve(&f, &b, &mut x)).unwrap();
             assert_eq!(out.concurrent, 1, "no overlap in a single-threaded loop");
         }
         let s = rt.stats();
@@ -1594,7 +1306,6 @@ mod tests {
             sorting: Sorting::Global,
             calibrate: true,
             policy: None,
-            batch_workers: 0,
             store_path: None,
             ..RuntimeConfig::default()
         });
@@ -1639,7 +1350,7 @@ mod tests {
             let rt = Runtime::new(store_cfg(&path));
             let mut x = vec![0.0; n];
             for _ in 0..6 {
-                rt.solve(&f, &b, &mut x).unwrap();
+                rt.submit(Job::<NoBody>::solve(&f, &b, &mut x)).unwrap();
             }
             let s = rt.stats();
             assert_eq!(s.store_hits, 0);
@@ -1656,7 +1367,7 @@ mod tests {
         // no inspector run — and the answer is bit-exact.
         let rt = Runtime::new(store_cfg(&path));
         let mut x = vec![0.0; n];
-        let out = rt.solve(&f, &b, &mut x).unwrap();
+        let out = rt.submit(Job::<NoBody>::solve(&f, &b, &mut x)).unwrap();
         assert!(!out.cached, "memory cache starts empty");
         // Tolerance, not equality: the resumed incumbent may be a parallel
         // discipline whose summation order differs from the sequential
@@ -1689,7 +1400,7 @@ mod tests {
             for f in [&f1, &f2] {
                 let b = vec![1.0; f.n()];
                 let mut x = vec![0.0; f.n()];
-                rt.solve(f, &b, &mut x).unwrap();
+                rt.submit(Job::<NoBody>::solve(f, &b, &mut x)).unwrap();
             }
             rt.store().unwrap().flush();
         }
@@ -1699,7 +1410,7 @@ mod tests {
         for f in [&f1, &f2] {
             let b = vec![1.0; f.n()];
             let mut x = vec![0.0; f.n()];
-            let out = rt.solve(f, &b, &mut x).unwrap();
+            let out = rt.submit(Job::<NoBody>::solve(f, &b, &mut x)).unwrap();
             assert!(out.cached, "warmed pattern must hit the memory cache");
             assert!(rtpl_sparse::dense::max_abs_diff(&x, &reference(f, &b)) < 1e-12);
         }
@@ -1719,7 +1430,7 @@ mod tests {
         {
             let rt = Runtime::new(store_cfg(&path));
             let mut x = vec![0.0; f.n()];
-            rt.solve(&f, &b, &mut x).unwrap();
+            rt.submit(Job::<NoBody>::solve(&f, &b, &mut x)).unwrap();
             rt.store().unwrap().flush();
         }
         // Same store, different processor count: the persisted layout is
@@ -1730,7 +1441,7 @@ mod tests {
             ..store_cfg(&path)
         });
         let mut x = vec![0.0; f.n()];
-        rt.solve(&f, &b, &mut x).unwrap();
+        rt.submit(Job::<NoBody>::solve(&f, &b, &mut x)).unwrap();
         assert!(rtpl_sparse::dense::max_abs_diff(&x, &reference(&f, &b)) < 1e-12);
         let s = rt.stats();
         assert_eq!(s.store_hits, 0);
@@ -1752,7 +1463,7 @@ mod tests {
             let f = ilu0(&laplacian_5pt(mx, my)).unwrap();
             let b = vec![1.0; f.n()];
             let mut x = vec![0.0; f.n()];
-            rt.solve(&f, &b, &mut x).unwrap();
+            rt.submit(Job::<NoBody>::solve(&f, &b, &mut x)).unwrap();
         }
         rt.store().unwrap().flush();
         assert_eq!(rt.stats().solves.evictions, 1, "capacity 2, three plans");
@@ -1761,7 +1472,7 @@ mod tests {
         let f = ilu0(&laplacian_5pt(4, 4)).unwrap();
         let b = vec![1.0; f.n()];
         let mut x = vec![0.0; f.n()];
-        rt.solve(&f, &b, &mut x).unwrap();
+        rt.submit(Job::<NoBody>::solve(&f, &b, &mut x)).unwrap();
         assert!(rtpl_sparse::dense::max_abs_diff(&x, &reference(&f, &b)) < 1e-12);
         let s = rt.stats();
         assert_eq!(s.store_hits, 1, "resurrected from disk, not re-inspected");
@@ -1777,7 +1488,7 @@ mod tests {
         let f = ilu0(&laplacian_5pt(6, 6)).unwrap();
         let b = vec![1.0; f.n()];
         let mut x = vec![0.0; f.n()];
-        rt.solve(&f, &b, &mut x).unwrap();
+        rt.submit(Job::<NoBody>::solve(&f, &b, &mut x)).unwrap();
         assert!(rtpl_sparse::dense::max_abs_diff(&x, &reference(&f, &b)) < 1e-12);
         let s = rt.stats();
         assert_eq!(s.store_load_errors, 1, "the failed open leaves its trace");
@@ -1811,7 +1522,7 @@ mod tests {
         let out = rt
             .submit(crate::Job::<crate::NoBody>::solve(&f, &b, &mut x))
             .unwrap();
-        assert!(matches!(out, crate::JobOutcome::Solve(_)));
+        assert!(out.reports.1.is_some(), "a solve reports both sweeps");
         assert!(rtpl_sparse::dense::max_abs_diff(&x, &reference(&f, &b)) < 1e-12);
     }
 
@@ -1893,7 +1604,7 @@ mod tests {
             let f = ilu0(&laplacian_5pt(mx, my)).unwrap();
             let b = vec![1.0; f.n()];
             let mut x = vec![0.0; f.n()];
-            let out = rt.solve(&f, &b, &mut x).unwrap();
+            let out = rt.submit(Job::<NoBody>::solve(&f, &b, &mut x)).unwrap();
             assert!(!out.cached);
             assert!(rtpl_sparse::dense::max_abs_diff(&x, &reference(&f, &b)) < 1e-12);
         }

@@ -967,8 +967,8 @@ fn dispatcher_loop(inner: &Arc<Inner>) {
                 inner.metrics.latency[job.kind_idx].record(job.t0.elapsed().as_nanos() as u64);
                 inner.metrics.expired.fetch_add(1, Ordering::Relaxed);
                 inner.metrics.answered.fetch_add(1, Ordering::Relaxed);
-                let _ = job.reply.send((job.id, resp));
                 job.inflight.fetch_sub(1, Ordering::AcqRel);
+                let _ = job.reply.send((job.id, resp));
                 q.open -= 1;
             }
             if q.open == 0 {
@@ -995,8 +995,8 @@ fn dispatcher_loop(inner: &Arc<Inner>) {
         for ((job, x), result) in batch.into_iter().zip(xs).zip(outcome.jobs) {
             let resp = match result {
                 Ok(out) => Response::Solved {
-                    cached: out.cached(),
-                    policy: arm_index(out.policy()) as u8,
+                    cached: out.cached,
+                    policy: arm_index(out.policy) as u8,
                     x,
                 },
                 Err(e) => Response::Error {
@@ -1004,12 +1004,13 @@ fn dispatcher_loop(inner: &Arc<Inner>) {
                     message: e.to_string(),
                 },
             };
-            // Counters move before the reply so a client that reads its
-            // response immediately observes them updated.
+            // Counters and the client's quota slot move before the reply so
+            // a client that reads its response immediately observes them
+            // updated (and may pipeline its next request at once).
             inner.metrics.latency[job.kind_idx].record(job.t0.elapsed().as_nanos() as u64);
             inner.metrics.answered.fetch_add(1, Ordering::Relaxed);
-            let _ = job.reply.send((job.id, resp));
             job.inflight.fetch_sub(1, Ordering::AcqRel);
+            let _ = job.reply.send((job.id, resp));
             q.open -= 1;
         }
         if q.open == 0 {

@@ -41,9 +41,8 @@
 //!    `Ordering` rules; see the README's "Correctness tooling" section.
 //!
 //! Verification is **off the execution hot path**: the runtime verifies a
-//! plan once when it is built (`RuntimeConfig::verify_plans`, default on in
-//! debug builds) or decoded from untrusted store bytes (always), never per
-//! solve.
+//! plan once when it is built (debug builds only) or decoded from
+//! untrusted store bytes (always), never per solve.
 //!
 //! [`DepGraph`]: rtpl_inspector::DepGraph
 //! [`Schedule`]: rtpl_inspector::Schedule

@@ -123,8 +123,7 @@ impl ZipfMix {
     /// with probability `loop_share` (a solve otherwise), targeting a
     /// Zipf-ranked pattern of its kind. This is the traffic shape a batch
     /// front door sees — solves and automated-transformation loops
-    /// interleaved, hot structures repeated — and what the `batch` section
-    /// of `BENCH_runtime.json` replays.
+    /// interleaved, hot structures repeated.
     pub fn mixed_stream(&self, len: usize, loop_share: f64, seed: u64) -> Vec<MixedRequest> {
         assert!((0.0..=1.0).contains(&loop_share), "share is a probability");
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5EED_0B47);

@@ -38,7 +38,7 @@ fn report(label: &str, outcome: &BatchOutcome) {
     let cached = outcome
         .jobs
         .iter()
-        .filter(|j| j.as_ref().is_ok_and(|o| o.cached()))
+        .filter(|j| j.as_ref().is_ok_and(|o| o.cached))
         .count();
     println!("         cached outcomes: {cached}/{}", outcome.jobs.len());
 }

@@ -9,7 +9,7 @@
 use rtpl::krylov::cg;
 use rtpl::krylov::KrylovConfig;
 use rtpl::prelude::*;
-use rtpl::runtime::{Runtime, RuntimeConfig};
+use rtpl::runtime::{Job, NoBody, Runtime, RuntimeConfig};
 use rtpl::sparse::gen::laplacian_5pt;
 use rtpl::sparse::ilu0;
 use std::time::Instant;
@@ -34,7 +34,7 @@ fn main() {
     let mut x = vec![0.0; n];
 
     let t = Instant::now();
-    let cold = rt.solve(&f, &b, &mut x).unwrap();
+    let cold = rt.submit(Job::<NoBody>::solve(&f, &b, &mut x)).unwrap();
     println!(
         "cold solve: {:>8} us  (inspected both sweeps, built the plan, predicted \n\
          every policy's cost, ran {:?})",
@@ -47,7 +47,7 @@ fn main() {
     const WARM: usize = 50;
     let mut last = cold;
     for _ in 0..WARM {
-        last = rt.solve(&f, &b, &mut x).unwrap();
+        last = rt.submit(Job::<NoBody>::solve(&f, &b, &mut x)).unwrap();
         assert!(last.cached);
     }
     println!(
@@ -63,7 +63,7 @@ fn main() {
         *v *= 1.5;
     }
     let f2 = ilu0(&a2).unwrap();
-    let again = rt.solve(&f2, &b, &mut x).unwrap();
+    let again = rt.submit(Job::<NoBody>::solve(&f2, &b, &mut x)).unwrap();
     println!(
         "new values, same pattern: cached = {} (no re-inspection)\n",
         again.cached

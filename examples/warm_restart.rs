@@ -14,7 +14,7 @@
 //! eager variant that preloads the memory cache before any request
 //! arrives. The answers are compared against the first lifetime's.
 
-use rtpl::runtime::{Runtime, RuntimeConfig};
+use rtpl::runtime::{Job, NoBody, Runtime, RuntimeConfig};
 use rtpl::sparse::gen::laplacian_5pt;
 use rtpl::sparse::ilu0;
 use std::time::Instant;
@@ -37,11 +37,13 @@ fn main() {
     let rt = Runtime::new(cfg.clone());
     let mut x1 = vec![0.0; n];
     let t = Instant::now();
-    rt.solve(&f, &b, &mut x1).expect("cold solve");
+    rt.submit(Job::<NoBody>::solve(&f, &b, &mut x1))
+        .expect("cold solve");
     let cold_ns = t.elapsed().as_nanos();
     for _ in 0..8 {
         let mut x = vec![0.0; n];
-        rt.solve(&f, &b, &mut x).expect("warm solve"); // lets the selector learn
+        rt.submit(Job::<NoBody>::solve(&f, &b, &mut x))
+            .expect("warm solve"); // lets the selector learn
     }
     rt.persist_learned(); // re-spill with the measured policy costs
     let s1 = rt.stats();
@@ -55,7 +57,8 @@ fn main() {
     let rt = Runtime::new(cfg.clone());
     let mut x2 = vec![0.0; n];
     let t = Instant::now();
-    rt.solve(&f, &b, &mut x2).expect("store-hit solve");
+    rt.submit(Job::<NoBody>::solve(&f, &b, &mut x2))
+        .expect("store-hit solve");
     let store_ns = t.elapsed().as_nanos();
     let s2 = rt.stats();
     assert_eq!(s2.store_hits, 1, "restart did not hit the store");
@@ -84,7 +87,8 @@ fn main() {
         t.elapsed().as_nanos()
     );
     let mut x3 = vec![0.0; n];
-    rt.solve(&f, &b, &mut x3).expect("memory-warm solve");
+    rt.submit(Job::<NoBody>::solve(&f, &b, &mut x3))
+        .expect("memory-warm solve");
     assert_eq!(
         rt.stats().solves.hits,
         1,

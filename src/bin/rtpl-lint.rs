@@ -29,7 +29,6 @@ use std::path::{Path, PathBuf};
 /// place; a new file that needs atomics either joins this list (with its
 /// protocol written down) or justifies each use with `// ORDERING:`.
 const ORDERING_ALLOWLIST: &[&str] = &[
-    "crates/bench/src/bin/server_load.rs",
     "crates/executor/src/barrier.rs",
     "crates/executor/src/cancel.rs",
     "crates/executor/src/compiled.rs",

@@ -19,7 +19,7 @@
 //! cheaply.
 
 use rtpl::failpoint;
-use rtpl::runtime::{Runtime, RuntimeConfig};
+use rtpl::runtime::{Job, NoBody, Runtime, RuntimeConfig};
 use rtpl::server::proto::{err_code, Response};
 use rtpl::server::{Client, Server, ServerConfig};
 use rtpl::sparse::gen::laplacian_5pt;
@@ -49,7 +49,7 @@ fn reference_solve(f: &IluFactors, b: &[f64]) -> Vec<f64> {
         ..RuntimeConfig::default()
     });
     let mut x = vec![0.0; f.n()];
-    rt.solve(f, b, &mut x).unwrap();
+    rt.submit(Job::<NoBody>::solve(f, b, &mut x)).unwrap();
     x
 }
 

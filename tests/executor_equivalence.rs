@@ -79,6 +79,16 @@ fn run_checked(
     plan.run(pool, policy, body, out)
 }
 
+/// Runs `f` — under `verify-trace` inside a capture session: the trace log
+/// is process-global, so an uncaptured pool run would leak its events into
+/// a neighbour test's session and fail that test's race oracle.
+fn isolated<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(feature = "verify-trace")]
+    return rtpl::executor::trace::capture(f).0;
+    #[cfg(not(feature = "verify-trace"))]
+    f()
+}
+
 /// The satellite sweep: policies × strategies × processor counts on random
 /// DAGs, all through `PlannedLoop::run`.
 #[test]
@@ -150,13 +160,15 @@ fn self_scheduling_matches_sequential() {
             for chunking in [Chunking::Unit, Chunking::Guided, Chunking::Fixed(3)] {
                 let mut out = vec![0.0; g.n()];
                 let body = DagBody(&g);
-                self_scheduling(
-                    &pool,
-                    &order,
-                    chunking,
-                    &|i, src| body.eval(i, src),
-                    &mut out,
-                );
+                isolated(|| {
+                    self_scheduling(
+                        &pool,
+                        &order,
+                        chunking,
+                        &|i, src| body.eval(i, src),
+                        &mut out,
+                    )
+                });
                 assert_eq!(out, expect, "{chunking:?} p={p}");
             }
         }

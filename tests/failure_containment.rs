@@ -9,7 +9,7 @@
 //! metrics surface that makes all of it observable.
 
 use rtpl::prelude::{LoopBody, ValueSource};
-use rtpl::runtime::{Job, LoopSpec, Runtime, RuntimeConfig, RuntimeError};
+use rtpl::runtime::{Job, LoopSpec, NoBody, Runtime, RuntimeConfig, RuntimeError};
 use rtpl::server::proto::{err_code, Request, Response};
 use rtpl::server::{Client, Server, ServerConfig};
 use rtpl::sparse::gen::laplacian_5pt;
@@ -75,13 +75,17 @@ fn panicking_job_fails_alone_and_runtime_survives() {
     // Sequential references on a fresh runtime.
     let rt_ref = Runtime::new(test_cfg());
     let mut expect_x = vec![0.0; n_solve];
-    rt_ref.solve(&f, &b, &mut expect_x).unwrap();
+    rt_ref
+        .submit(Job::<NoBody>::solve(&f, &b, &mut expect_x))
+        .unwrap();
     let good = BombBody {
         lower: &lower,
         bomb: None,
     };
     let mut expect_loop = vec![0.0; n_loop];
-    rt_ref.run_spec(&spec, &good, &mut expect_loop).unwrap();
+    rt_ref
+        .submit(Job::looped(&spec, &good, &mut expect_loop))
+        .unwrap();
 
     let rt = Runtime::new(test_cfg());
     let bad = BombBody {
@@ -115,8 +119,8 @@ fn panicking_job_fails_alone_and_runtime_survives() {
     // both patterns, bit-exact.
     let mut x2 = vec![0.0; n_solve];
     let mut loop2 = vec![0.0; n_loop];
-    rt.solve(&f, &b, &mut x2).unwrap();
-    rt.run_spec(&spec, &good, &mut loop2).unwrap();
+    rt.submit(Job::<NoBody>::solve(&f, &b, &mut x2)).unwrap();
+    rt.submit(Job::looped(&spec, &good, &mut loop2)).unwrap();
     assert_eq!(x2, expect_x);
     assert_eq!(loop2, expect_loop);
 

@@ -6,7 +6,7 @@
 //! wrong answers.
 
 use rtpl::krylov::ExecutorKind;
-use rtpl::runtime::{Runtime, RuntimeConfig};
+use rtpl::runtime::{Job, NoBody, Runtime, RuntimeConfig};
 use rtpl::sparse::gen::random_lower;
 use rtpl::sparse::ilu::IluFactors;
 use rtpl::store::{PlanStore, StoreError, FORMAT_VERSION};
@@ -63,14 +63,16 @@ fn store_loaded_plans_solve_bit_exactly_across_policies() {
             // Lifetime 1: inspect, compile, solve, spill.
             let rt = Runtime::new(cfg(&path, 2, Some(kind)));
             let mut x_cold = vec![0.0; n];
-            rt.solve(&f, &b, &mut x_cold).expect("cold solve");
+            rt.submit(Job::<NoBody>::solve(&f, &b, &mut x_cold))
+                .expect("cold solve");
             assert_eq!(rt.stats().store_writes, 1, "seed {seed} {kind:?}: no spill");
             drop(rt); // joins the flusher; the artifact is durable now
 
             // Lifetime 2: the same pattern must come from the store.
             let rt = Runtime::new(cfg(&path, 2, Some(kind)));
             let mut x_store = vec![0.0; n];
-            rt.solve(&f, &b, &mut x_store).expect("store-hit solve");
+            rt.submit(Job::<NoBody>::solve(&f, &b, &mut x_store))
+                .expect("store-hit solve");
             let stats = rt.stats();
             assert_eq!(
                 (stats.store_hits, stats.store_load_errors),
@@ -101,7 +103,8 @@ fn every_truncation_of_the_store_falls_back_cold() {
     let seed_path = tmp("truncate-seed");
     let rt = Runtime::new(cfg(&seed_path, 1, policy));
     let mut reference = vec![0.0; n];
-    rt.solve(&f, &b, &mut reference).expect("seed solve");
+    rt.submit(Job::<NoBody>::solve(&f, &b, &mut reference))
+        .expect("seed solve");
     drop(rt);
     let full = std::fs::read(&seed_path).expect("read store file");
     let _ = std::fs::remove_file(&seed_path);
@@ -111,7 +114,7 @@ fn every_truncation_of_the_store_falls_back_cold() {
         std::fs::write(&path, &full[..cut]).expect("write truncated store");
         let rt = Runtime::new(cfg(&path, 1, policy));
         let mut x = vec![0.0; n];
-        rt.solve(&f, &b, &mut x)
+        rt.submit(Job::<NoBody>::solve(&f, &b, &mut x))
             .expect("solve over truncated store");
         assert_eq!(
             bits(&reference),
@@ -150,7 +153,8 @@ fn bit_flips_are_typed_errors_and_served_around() {
     let seed_path = tmp("corrupt-seed");
     let rt = Runtime::new(cfg(&seed_path, 1, policy));
     let mut reference = vec![0.0; n];
-    rt.solve(&f, &b, &mut reference).expect("seed solve");
+    rt.submit(Job::<NoBody>::solve(&f, &b, &mut reference))
+        .expect("seed solve");
     let key = Runtime::solve_key(&f).as_u128();
     drop(rt);
     let full = std::fs::read(&seed_path).expect("read store file");
@@ -186,7 +190,7 @@ fn bit_flips_are_typed_errors_and_served_around() {
         // Runtime level: typed error counted, answer served cold.
         let rt = Runtime::new(cfg(&path, 1, policy));
         let mut x = vec![0.0; n];
-        rt.solve(&f, &b, &mut x)
+        rt.submit(Job::<NoBody>::solve(&f, &b, &mut x))
             .expect("solve over corrupted store");
         assert_eq!(bits(&reference), bits(&x), "flip at {pos}: answer deviates");
         let s = rt.stats();
@@ -232,7 +236,8 @@ fn version_bump_rejects_cleanly() {
     assert!(rt.store().is_none(), "runtime adopted an unreadable store");
     assert_eq!(rt.stats().store_load_errors, 1);
     let mut x = vec![0.0; n];
-    rt.solve(&f, &b, &mut x).expect("storeless solve");
+    rt.submit(Job::<NoBody>::solve(&f, &b, &mut x))
+        .expect("storeless solve");
     drop(rt);
     let _ = std::fs::remove_file(&path);
 }
@@ -306,7 +311,8 @@ fn pre_bump_artifact_version_falls_back_cold() {
 
     let rt = Runtime::new(config.clone());
     let mut reference = vec![0.0; n];
-    rt.solve(&f, &b, &mut reference).expect("seed solve");
+    rt.submit(Job::<NoBody>::solve(&f, &b, &mut reference))
+        .expect("seed solve");
     drop(rt);
 
     // Payload layout: u64 artifact byte-length, then the artifact, whose
@@ -321,7 +327,8 @@ fn pre_bump_artifact_version_falls_back_cold() {
 
     let rt = Runtime::new(config);
     let mut x = vec![0.0; n];
-    rt.solve(&f, &b, &mut x).expect("solve over stale artifact");
+    rt.submit(Job::<NoBody>::solve(&f, &b, &mut x))
+        .expect("solve over stale artifact");
     let stats = rt.stats();
     assert_eq!(stats.store_hits, 0, "a version-1 artifact served");
     assert_eq!(stats.store_load_errors, 1, "the refusal left no trace");
@@ -380,7 +387,8 @@ fn verifier_refuses_a_store_artifact_with_dropped_barriers() {
     // Lifetime 1: cold inspect, spill the honest artifact.
     let rt = Runtime::new(config.clone());
     let mut reference = vec![0.0; n];
-    rt.solve(&f, &b, &mut reference).expect("seed solve");
+    rt.submit(Job::<NoBody>::solve(&f, &b, &mut reference))
+        .expect("seed solve");
     drop(rt);
 
     // Mutate the persisted payload through the public wire codec: decode
@@ -458,7 +466,7 @@ fn verifier_refuses_a_store_artifact_with_dropped_barriers() {
     // Lifetime 2: the mutant must be refused and served around, cold.
     let rt = Runtime::new(config);
     let mut x = vec![0.0; n];
-    rt.solve(&f, &b, &mut x)
+    rt.submit(Job::<NoBody>::solve(&f, &b, &mut x))
         .expect("solve over mutant artifact");
     let stats = rt.stats();
     assert_eq!(stats.store_hits, 0, "the mutant artifact was cached");

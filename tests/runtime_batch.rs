@@ -6,7 +6,9 @@ use rtpl::executor::{ExecPolicy, WorkerPool};
 use rtpl::inspector::DepGraph;
 use rtpl::krylov::ExecutorKind;
 use rtpl::prelude::{LoopBody, ValueSource};
-use rtpl::runtime::{Job, JobOutcome, LoopSpec, NoBody, Runtime, RuntimeConfig};
+use rtpl::runtime::{
+    CacheStats, Job, JobOutcome, LoopSpec, NoBody, Runtime, RuntimeConfig, RuntimeError,
+};
 use rtpl::sparse::ilu::IluFactors;
 use rtpl::sparse::Csr;
 use rtpl::workload::{pattern_set, RequestKind, ZipfMix};
@@ -72,8 +74,8 @@ impl LoopBody for LinearBody<'_> {
 }
 
 /// The headline batch test: a Zipf-mixed batch of solves and linear loop
-/// jobs through `submit_batch` is bit-exact per job with the sequential
-/// one-at-a-time front doors, groups same-fingerprint jobs, and serves a
+/// jobs through `submit_batch` is bit-exact per job with the same jobs
+/// `submit`ted one at a time, groups same-fingerprint jobs, and serves a
 /// repeat batch entirely from cache.
 #[test]
 fn mixed_batch_is_bit_exact_grouped_and_cached() {
@@ -102,8 +104,8 @@ fn mixed_batch_is_bit_exact_grouped_and_cached() {
         })
         .collect();
 
-    // Per-request inputs (shared) and expected outputs via the sequential
-    // one-at-a-time front doors on a fresh runtime.
+    // Per-request inputs (shared) and expected outputs via one-at-a-time
+    // `submit`s on a fresh runtime.
     let solve_bs: Vec<Vec<f64>> = (0..SOLVE_PATTERNS).map(|i| rhs(ns, i)).collect();
     let loop_rhs: Vec<Vec<f64>> = (0..LOOP_PATTERNS).map(|i| rhs(nl, 100 + i)).collect();
     let rt_seq = Runtime::new(test_cfg());
@@ -113,14 +115,23 @@ fn mixed_batch_is_bit_exact_grouped_and_cached() {
             RequestKind::Solve => {
                 let mut x = vec![0.0; ns];
                 rt_seq
-                    .solve(&factors[rank], &solve_bs[rank], &mut x)
+                    .submit(Job::<NoBody>::solve(
+                        &factors[rank],
+                        &solve_bs[rank],
+                        &mut x,
+                    ))
                     .unwrap();
                 x
             }
             RequestKind::Loop => {
                 let mut out = vec![0.0; nl];
                 rt_seq
-                    .run_linear(&specs[rank], lowers[rank].data(), &loop_rhs[rank], &mut out)
+                    .submit(Job::<NoBody>::linear(
+                        &specs[rank],
+                        lowers[rank].data(),
+                        &loop_rhs[rank],
+                        &mut out,
+                    ))
                     .unwrap();
                 out
             }
@@ -158,10 +169,7 @@ fn mixed_batch_is_bit_exact_grouped_and_cached() {
         "all cold on a fresh runtime"
     );
     for (i, (out, expect)) in outs.iter().zip(&expected).enumerate() {
-        assert_eq!(
-            out, expect,
-            "job {i} deviates from the sequential front door"
-        );
+        assert_eq!(out, expect, "job {i} deviates from its lone submit");
     }
     let stats = rt.stats();
     let distinct_solves = stream
@@ -192,10 +200,7 @@ fn mixed_batch_is_bit_exact_grouped_and_cached() {
         .collect();
     let warm = rt.submit_batch(jobs2);
     assert_eq!(warm.cold_groups, 0);
-    assert!(warm
-        .jobs
-        .iter()
-        .all(|j| j.as_ref().is_ok_and(JobOutcome::cached)));
+    assert!(warm.jobs.iter().all(|j| j.as_ref().is_ok_and(|o| o.cached)));
     assert_eq!(
         rt.stats().solves.builds,
         distinct_solves as u64,
@@ -235,7 +240,7 @@ fn doconsider_loop_job_caches_and_matches_direct_planned_loop() {
     let mut out2 = vec![0.0; n];
     let first = rt.submit(Job::looped(&spec, &body, &mut out1)).unwrap();
     let second = rt.submit(Job::looped(&spec, &body, &mut out2)).unwrap();
-    assert!(!first.cached() && second.cached());
+    assert!(!first.cached && second.cached);
     assert_eq!(rt.stats().loops.builds, 1, "one build for two submissions");
     assert_eq!(out1, direct, "cold loop job deviates from direct execution");
     assert_eq!(out2, direct, "warm loop job deviates from direct execution");
@@ -249,7 +254,7 @@ fn doconsider_loop_job_caches_and_matches_direct_planned_loop() {
     let warm = rt
         .submit(Job::<NoBody>::linear(&spec, vals, &b, &mut out4))
         .unwrap();
-    assert!(warm.cached());
+    assert!(warm.cached);
     assert_eq!(rt.stats().linears.builds, 1);
     assert_eq!(out3, direct);
     assert_eq!(out4, direct);
@@ -261,15 +266,7 @@ fn doconsider_loop_job_caches_and_matches_direct_planned_loop() {
 fn batch_failures_are_isolated_per_job() {
     let good = factors_from_pattern(&pattern_set(1, 8, 5)[0]);
     let n = good.n();
-    let mut bad = good.clone();
-    // Zero a diagonal entry of U: plan construction rejects the pattern.
-    let pos = bad.u.indptr()[2];
-    bad.u.data_mut()[pos] = 0.0;
-    assert_eq!(
-        bad.u.row_indices(2)[0],
-        2,
-        "first entry of row 2 is its diagonal"
-    );
+    let bad = zero_pivot(&good);
 
     let b = rhs(n, 0);
     let mut x1 = vec![0.0; n];
@@ -310,15 +307,16 @@ fn batch_failures_are_isolated_per_job() {
         ..test_cfg()
     });
     let mut expect = vec![0.0; n];
-    rt_ref.solve(&good, &b, &mut expect).unwrap();
+    rt_ref
+        .submit(Job::<NoBody>::solve(&good, &b, &mut expect))
+        .unwrap();
     // Policies may differ between the two runtimes; results are bit-exact
     // across policies by construction.
     assert_eq!(x1, expect);
     assert_eq!(x3, expect);
 }
 
-/// An empty batch is a no-op, and `submit` on each Job variant agrees with
-/// the matching direct front door.
+/// An empty batch is a no-op, and the two doors agree on a solve.
 #[test]
 fn empty_batch_and_submit_parity() {
     let rt = Runtime::new(test_cfg());
@@ -331,12 +329,258 @@ fn empty_batch_and_submit_parity() {
     let n = f.n();
     let b = rhs(n, 2);
     let mut via_submit = vec![0.0; n];
-    let mut via_solve = vec![0.0; n];
+    let mut via_batch = vec![0.0; n];
     let o = rt
         .submit(Job::<NoBody>::solve(&f, &b, &mut via_submit))
         .unwrap();
-    rt.solve(&f, &b, &mut via_solve).unwrap();
-    assert_eq!(via_submit, via_solve);
-    assert!(matches!(o, JobOutcome::Solve(_)));
-    assert!(!o.cached(), "first request for the pattern must build");
+    let batch = rt.submit_batch::<NoBody>(vec![Job::solve(&f, &b, &mut via_batch)]);
+    assert_eq!(batch.ok_count(), 1);
+    assert_eq!(via_submit, via_batch);
+    assert!(o.reports.1.is_some(), "a solve reports both sweeps");
+    assert!(!o.cached, "first request for the pattern must build");
+}
+
+// ---------------------------------------------------------------------------
+// A lone job is a batch of one: `submit(job)` and `submit_batch(vec![job])`
+// run the same group runner, so nothing observable may depend on the door.
+// ---------------------------------------------------------------------------
+
+/// What a served job reports: `(policy, cached, output)`.
+type Answer = (ExecutorKind, bool, Vec<f64>);
+
+/// Everything a job's door must not influence, over a stream of requests
+/// on one fresh runtime.
+#[derive(Debug, PartialEq)]
+struct Seen {
+    requests: Vec<Result<Answer, RuntimeError>>,
+    caches: [CacheStats; 3],
+    policy_runs: [u64; 5],
+    scratches_created: u64,
+    pools_created: u64,
+    body_panics: u64,
+    deadline_expired: u64,
+    circuit_open: u64,
+}
+
+/// One job through the chosen door.
+fn send<B: LoopBody>(
+    rt: &Runtime,
+    batched: bool,
+    job: Job<'_, B>,
+) -> Result<JobOutcome, RuntimeError> {
+    if batched {
+        let mut outcome = rt.submit_batch(vec![job]);
+        assert_eq!((outcome.jobs.len(), outcome.groups), (1, 1));
+        outcome.jobs.pop().unwrap()
+    } else {
+        rt.submit(job)
+    }
+}
+
+/// Runs `request` (which `send`s one job writing to the buffer it is
+/// handed) `rounds` times against one door of a fresh runtime. A failed
+/// job's output is unspecified and a contained panic's unwound-worker
+/// count is timing, so neither is compared.
+fn through_door(
+    batched: bool,
+    cfg: &RuntimeConfig,
+    n: usize,
+    rounds: usize,
+    request: &impl Fn(&Runtime, bool, &mut [f64]) -> Result<JobOutcome, RuntimeError>,
+) -> Seen {
+    let rt = Runtime::new(cfg.clone());
+    let requests = (0..rounds)
+        .map(|_| {
+            let mut out = vec![0.0; n];
+            match request(&rt, batched, &mut out) {
+                Ok(o) => Ok((o.policy, o.cached, out)),
+                Err(RuntimeError::BodyPanicked { .. }) => {
+                    Err(RuntimeError::BodyPanicked { workers: 0 })
+                }
+                Err(e) => Err(e),
+            }
+        })
+        .collect();
+    let s = rt.stats();
+    // The one thing that does tell the doors apart: only batches count as
+    // batches.
+    let batches = if batched { rounds as u64 } else { 0 };
+    assert_eq!((s.batches, s.batch_jobs), (batches, batches));
+    Seen {
+        requests,
+        caches: [s.solves, s.loops, s.linears],
+        policy_runs: s.policy_runs,
+        scratches_created: s.scratches_created,
+        pools_created: s.pools_created,
+        body_panics: s.body_panics,
+        deadline_expired: s.deadline_expired,
+        circuit_open: s.circuit_open,
+    }
+}
+
+/// Both doors on twin fresh runtimes; returns what (both) saw.
+fn assert_door_parity(
+    what: &str,
+    cfg: &RuntimeConfig,
+    n: usize,
+    rounds: usize,
+    request: impl Fn(&Runtime, bool, &mut [f64]) -> Result<JobOutcome, RuntimeError>,
+) -> Seen {
+    let lone = through_door(false, cfg, n, rounds, &request);
+    let batch = through_door(true, cfg, n, rounds, &request);
+    assert_eq!(lone, batch, "{what}: submit vs submit_batch of one");
+    lone
+}
+
+/// A body that panics on every iteration.
+struct Bomb;
+impl LoopBody for Bomb {
+    fn eval<S: ValueSource>(&self, _i: usize, _src: &S) -> f64 {
+        panic!("injected body failure")
+    }
+}
+
+/// `good` with a diagonal entry of `U` zeroed: plan construction rejects
+/// the values (not the pattern).
+fn zero_pivot(good: &IluFactors) -> IluFactors {
+    let mut bad = good.clone();
+    let pos = bad.u.indptr()[2];
+    assert_eq!(bad.u.row_indices(2)[0], 2, "row 2 leads with its diagonal");
+    bad.u.data_mut()[pos] = 0.0;
+    bad
+}
+
+#[test]
+fn lone_submit_and_batch_of_one_are_indistinguishable() {
+    let cfg = test_cfg();
+    let f = factors_from_pattern(&pattern_set(1, 9, 77)[0]);
+    let l = pattern_set(1, 9, 78)[0].strict_lower();
+    let graph = DepGraph::from_lower_triangular(&l).unwrap();
+    let spec = LoopSpec::new(graph.clone());
+    let n = f.n();
+    assert_eq!(l.nrows(), n);
+    let b = rhs(n, 5);
+    let body = LinearBody::new(&graph, l.data(), &b);
+    let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
+
+    // Healthy jobs, cold then warm, one per class.
+    let seen = assert_door_parity("solve", &cfg, n, 2, |rt, batched, x| {
+        send(rt, batched, Job::<NoBody>::solve(&f, &b, x))
+    });
+    let cached: Vec<bool> = seen
+        .requests
+        .iter()
+        .map(|r| r.as_ref().unwrap().1)
+        .collect();
+    assert_eq!(cached, [false, true]);
+    assert_eq!((seen.caches[0].builds, seen.caches[0].hits), (1, 1));
+    assert_eq!(seen.policy_runs.iter().sum::<u64>(), 2);
+    let seen = assert_door_parity("looped", &cfg, n, 2, |rt, batched, out| {
+        send(rt, batched, Job::looped(&spec, &body, out))
+    });
+    assert_eq!((seen.caches[1].builds, seen.caches[1].hits), (1, 1));
+    let linear = assert_door_parity("linear", &cfg, n, 2, |rt, batched, out| {
+        send(rt, batched, Job::<NoBody>::linear(&spec, l.data(), &b, out))
+    });
+    assert_eq!((linear.caches[2].builds, linear.caches[2].hits), (1, 1));
+    // Same recurrence, generic body vs compiled layout: same bits.
+    assert_eq!(
+        seen.requests[0].as_ref().unwrap().2,
+        linear.requests[0].as_ref().unwrap().2
+    );
+
+    // The three failure shapes.
+    let bad = zero_pivot(&f);
+    let seen = assert_door_parity("zero pivot", &cfg, n, 2, |rt, batched, x| {
+        send(rt, batched, Job::<NoBody>::solve(&bad, &b, x))
+    });
+    assert!(seen.requests.iter().all(|r| r.is_err()));
+    assert_eq!(seen.caches[0].builds, 2, "failed builds are retried");
+    assert_eq!(seen.policy_runs, [0; 5]);
+
+    let expired = [
+        assert_door_parity("expired solve", &cfg, n, 2, |rt, batched, x| {
+            let job = Job::<NoBody>::solve(&f, &b, x);
+            send(rt, batched, job.with_deadline(past))
+        }),
+        assert_door_parity("expired loop", &cfg, n, 2, |rt, batched, out| {
+            let job = Job::looped(&spec, &body, out);
+            send(rt, batched, job.with_deadline(past))
+        }),
+        assert_door_parity("expired linear", &cfg, n, 2, |rt, batched, out| {
+            let job = Job::<NoBody>::linear(&spec, l.data(), &b, out);
+            send(rt, batched, job.with_deadline(past))
+        }),
+    ];
+    for seen in expired {
+        assert_eq!(
+            seen.requests,
+            [
+                Err(RuntimeError::DeadlineExceeded),
+                Err(RuntimeError::DeadlineExceeded)
+            ]
+        );
+        assert_eq!((seen.deadline_expired, seen.circuit_open), (2, 0));
+    }
+
+    let seen = assert_door_parity("panicking body", &cfg, n, 2, |rt, batched, out| {
+        send(rt, batched, Job::looped(&spec, &Bomb, out))
+    });
+    assert!(seen
+        .requests
+        .iter()
+        .all(|r| matches!(r, Err(RuntimeError::BodyPanicked { .. }))));
+    assert_eq!(seen.body_panics, 2);
+}
+
+/// A stream of failing builds trips the pattern's breaker at exactly
+/// `breaker_threshold`, whichever door the stream came through — lone
+/// submits, batches of one, or one batch whose poisoned group falls back to
+/// per-job groups of one.
+#[test]
+fn failing_builds_trip_the_breaker_through_either_door() {
+    const THRESHOLD: usize = 3;
+    let cfg = RuntimeConfig {
+        breaker_threshold: THRESHOLD as u32,
+        breaker_cooldown: std::time::Duration::from_secs(60),
+        ..test_cfg()
+    };
+    let bad = zero_pivot(&factors_from_pattern(&pattern_set(1, 8, 5)[0]));
+    let n = bad.n();
+    let b = rhs(n, 1);
+
+    let seen = assert_door_parity(
+        "failing builds",
+        &cfg,
+        n,
+        THRESHOLD + 2,
+        |rt, batched, x| send(rt, batched, Job::<NoBody>::solve(&bad, &b, x)),
+    );
+    for (i, r) in seen.requests.iter().enumerate() {
+        let open = *r == Err(RuntimeError::CircuitOpen);
+        assert_eq!(open, i >= THRESHOLD, "request {i}: {r:?}");
+    }
+    assert_eq!(seen.circuit_open, 2);
+    assert_eq!(
+        seen.caches[0].builds, THRESHOLD as u64,
+        "open circuit builds nothing"
+    );
+
+    // One batch, one group of THRESHOLD poisoned jobs: every job's own
+    // failed build counts, so the very next lone submit is rejected.
+    let rt = Runtime::new(cfg);
+    let mut outs = vec![vec![0.0; n]; THRESHOLD];
+    let outcome =
+        rt.submit_batch::<NoBody>(outs.iter_mut().map(|x| Job::solve(&bad, &b, x)).collect());
+    assert_eq!((outcome.groups, outcome.ok_count()), (1, 0));
+    assert!(outcome
+        .jobs
+        .iter()
+        .all(|j| matches!(j, Err(e) if *e != RuntimeError::CircuitOpen)));
+    let mut x = vec![0.0; n];
+    assert_eq!(
+        rt.submit(Job::<NoBody>::solve(&bad, &b, &mut x))
+            .unwrap_err(),
+        RuntimeError::CircuitOpen
+    );
 }

@@ -1,8 +1,9 @@
 //! Service-level acceptance tests for `rtpl-runtime`: many clients, a
 //! Zipf-distributed mix of patterns, one shared `Runtime`.
 
-use rtpl::krylov::ExecutorKind;
-use rtpl::runtime::{Runtime, RuntimeConfig};
+use rtpl::krylov::{ExecutorKind, TriangularSolvePlan};
+use rtpl::runtime::selector::arm_index;
+use rtpl::runtime::{Job, NoBody, PolicySelector, Runtime, RuntimeConfig};
 use rtpl::sparse::ilu::IluFactors;
 use rtpl::sparse::Csr;
 use rtpl::workload::{pattern_set, ZipfMix};
@@ -54,7 +55,7 @@ fn concurrent_zipf_mix_is_bit_exact_cached_and_built_once() {
             .map(|(id, f)| {
                 let b = rhs(n, id);
                 let mut x = vec![0.0; n];
-                rt_seq.solve(f, &b, &mut x).unwrap();
+                rt_seq.submit(Job::<NoBody>::solve(f, &b, &mut x)).unwrap();
                 x
             })
             .collect()
@@ -84,7 +85,8 @@ fn concurrent_zipf_mix_is_bit_exact_cached_and_built_once() {
                 let mut x = vec![0.0; n];
                 for id in stream {
                     let b = rhs(n, id);
-                    rt.solve(&factors[id], &b, &mut x).unwrap();
+                    rt.submit(Job::<NoBody>::solve(&factors[id], &b, &mut x))
+                        .unwrap();
                     assert_eq!(
                         x, reference[id],
                         "thread {t}: pattern {id} deviates from the sequential reference"
@@ -117,7 +119,7 @@ fn concurrent_zipf_mix_is_bit_exact_cached_and_built_once() {
 /// Same-pattern requests no longer serialize (PR 3): a cached entry holds
 /// one immutable compiled plan and leases per-run scratches, so two
 /// threads solving the same fingerprint overlap. The assertion is
-/// **lease-counter based, not timing based**: `SolveOutcome::concurrent`
+/// **lease-counter based, not timing based**: `JobOutcome::concurrent`
 /// (and `RuntimeStats::peak_same_pattern`) report how many requests were
 /// in flight on the entry when a solve started — under the old per-entry
 /// mutex that could never exceed 1. Results stay bit-exact throughout.
@@ -140,7 +142,8 @@ fn same_pattern_requests_overlap_and_stay_bit_exact() {
     });
     let b = rhs(n, 5);
     let mut reference = vec![0.0; n];
-    rt.solve(&f, &b, &mut reference).unwrap();
+    rt.submit(Job::<NoBody>::solve(&f, &b, &mut reference))
+        .unwrap();
 
     let mut peak = 0u64;
     for _ in 0..MAX_ROUNDS {
@@ -158,7 +161,7 @@ fn same_pattern_requests_overlap_and_stay_bit_exact() {
                     let mut x = vec![0.0; n];
                     start.wait();
                     for _ in 0..PER_ROUND {
-                        let out = rt.solve(f, b, &mut x).unwrap();
+                        let out = rt.submit(Job::<NoBody>::solve(f, b, &mut x)).unwrap();
                         assert_eq!(&x, reference, "concurrent solve deviates");
                         round_peak.fetch_max(out.concurrent, Ordering::Relaxed);
                     }
@@ -237,14 +240,16 @@ fn eviction_under_concurrent_solves_keeps_serving_bit_exact() {
     });
     let hot_b = rhs(hot.n(), 1);
     let mut hot_ref = vec![0.0; hot.n()];
-    rt_seq.solve(&hot, &hot_b, &mut hot_ref).unwrap();
+    rt_seq
+        .submit(Job::<NoBody>::solve(&hot, &hot_b, &mut hot_ref))
+        .unwrap();
     let churn_refs: Vec<Vec<f64>> = churn
         .iter()
         .enumerate()
         .map(|(i, f)| {
             let b = rhs(f.n(), i);
             let mut x = vec![0.0; f.n()];
-            rt_seq.solve(f, &b, &mut x).unwrap();
+            rt_seq.submit(Job::<NoBody>::solve(f, &b, &mut x)).unwrap();
             x
         })
         .collect();
@@ -263,7 +268,7 @@ fn eviction_under_concurrent_solves_keeps_serving_bit_exact() {
         scope.spawn(move || {
             let mut x = vec![0.0; hot.n()];
             for _ in 0..30 {
-                rt.solve(hot, hot_b, &mut x).unwrap();
+                rt.submit(Job::<NoBody>::solve(hot, hot_b, &mut x)).unwrap();
                 assert_eq!(&x, hot_ref, "hot solve deviates after eviction");
             }
         });
@@ -273,7 +278,7 @@ fn eviction_under_concurrent_solves_keeps_serving_bit_exact() {
             for round in 0..20 {
                 for (i, f) in churn.iter().enumerate() {
                     let b = rhs(f.n(), i);
-                    rt.solve(f, &b, &mut x).unwrap();
+                    rt.submit(Job::<NoBody>::solve(f, &b, &mut x)).unwrap();
                     assert_eq!(&x, &churn_refs[i], "churn solve deviates (round {round})");
                 }
             }
@@ -287,33 +292,63 @@ fn eviction_under_concurrent_solves_keeps_serving_bit_exact() {
     );
 }
 
-/// The adaptive selector settles: after a steady stream on one pattern,
-/// the dominant policy accounts for the overwhelming majority of runs
-/// (exploration is bounded to at most one run per candidate arm).
+/// The adaptive selector's mechanism, end to end: every run lands on an
+/// arm the cost model priced as feasible (finite prior), every run is
+/// counted exactly once, and every reply is bit-exact with the sequential
+/// reference whichever arm served it. *Convergence* onto one arm depends
+/// on measured wall times, which a shared host reorders at will — that is
+/// pinned by the injected-cost `drive` tests in `selector.rs`, not here.
 #[test]
-fn adaptive_selector_settles_on_a_dominant_policy() {
+fn adaptive_selector_runs_only_feasible_arms_and_counts_every_run() {
     let patterns = pattern_set(1, 16, 7);
     let f = factors_from_pattern(&patterns[0]);
     let n = f.n();
-    let rt = Runtime::new(RuntimeConfig {
+    let cfg = RuntimeConfig {
         nprocs: 2,
         calibrate: false,
         ..RuntimeConfig::default()
-    });
+    };
     let b = rhs(n, 0);
-    let mut x = vec![0.0; n];
+    let mut reference = vec![0.0; n];
+    Runtime::new(RuntimeConfig {
+        policy: Some(ExecutorKind::Sequential),
+        ..cfg.clone()
+    })
+    .submit(Job::<NoBody>::solve(&f, &b, &mut reference))
+    .unwrap();
+
+    let rt = Runtime::new(cfg.clone());
+    // The prior exactly as the runtime computes it for this pattern. Must
+    // mirror `Runtime::inspect_solve_entry` (plan recipe and pricing); if
+    // that changes, change this with it.
+    let plan = TriangularSolvePlan::new_with_grain(
+        &f,
+        cfg.nprocs,
+        ExecutorKind::SelfExecuting,
+        cfg.sorting,
+        rt.coalesce_grain(),
+    )
+    .unwrap();
+    let selector = PolicySelector::new(*rt.cost_model());
+    let (pl, pu) = (
+        selector.predict(plan.plan_l()),
+        selector.predict(plan.plan_u()),
+    );
+
     const RUNS: u64 = 40;
-    for _ in 0..RUNS {
-        rt.solve(&f, &b, &mut x).unwrap();
+    for run in 0..RUNS {
+        let mut x = vec![0.0; n];
+        let out = rt.submit(Job::<NoBody>::solve(&f, &b, &mut x)).unwrap();
+        let arm = arm_index(out.policy);
+        assert!(
+            (pl[arm] + pu[arm]).is_finite(),
+            "run {run} used {:?}, an arm the model priced infeasible",
+            out.policy
+        );
+        assert_eq!(x, reference, "run {run} under {:?}", out.policy);
     }
     let stats = rt.stats();
-    let dominant = stats.runs_for(stats.dominant_policy());
-    // 5 candidate arms ⇒ at most 4 non-dominant exploration runs.
-    assert!(
-        dominant >= RUNS - 4,
-        "dominant policy ran {dominant}/{RUNS} times; policy_runs = {:?}",
-        stats.policy_runs
-    );
+    assert_eq!(stats.policy_runs.iter().sum::<u64>(), RUNS);
 }
 
 /// Cold → warm amortization on a single pattern: a cached request performs
@@ -335,14 +370,14 @@ fn warm_requests_skip_inspection() {
     let mut x = vec![0.0; n];
 
     let t0 = std::time::Instant::now();
-    let cold = rt.solve(&f, &b, &mut x).unwrap();
+    let cold = rt.submit(Job::<NoBody>::solve(&f, &b, &mut x)).unwrap();
     let cold_ns = t0.elapsed().as_nanos();
     assert!(!cold.cached);
 
     let mut warm_best = u128::MAX;
     for _ in 0..20 {
         let t1 = std::time::Instant::now();
-        let warm = rt.solve(&f, &b, &mut x).unwrap();
+        let warm = rt.submit(Job::<NoBody>::solve(&f, &b, &mut x)).unwrap();
         warm_best = warm_best.min(t1.elapsed().as_nanos());
         assert!(warm.cached);
     }

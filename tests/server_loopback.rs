@@ -9,7 +9,7 @@
 //!   begins mid-load;
 //! * solved values are bit-exact with a local sequential solve.
 
-use rtpl::runtime::{Runtime, RuntimeConfig};
+use rtpl::runtime::{Job, NoBody, Runtime, RuntimeConfig};
 use rtpl::server::proto::{Request, Response, RetryReason, WarmLevel};
 use rtpl::server::{Client, ClientError, Server, ServerConfig};
 use rtpl::sparse::gen::laplacian_5pt;
@@ -45,7 +45,7 @@ fn reference_solve(f: &IluFactors, b: &[f64]) -> Vec<f64> {
         ..RuntimeConfig::default()
     });
     let mut x = vec![0.0; f.n()];
-    rt.solve(f, b, &mut x).unwrap();
+    rt.submit(Job::<NoBody>::solve(f, b, &mut x)).unwrap();
     x
 }
 
@@ -490,4 +490,51 @@ fn concurrent_clients_are_answered_and_bit_exact() {
     assert!(rt.batches > 0);
     assert_eq!(rt.batch_jobs, 48);
     server.shutdown().unwrap();
+}
+
+/// The `WarmCheck` ladder across a server restart: memory-warm while the
+/// first server holds the factors, disk-warm once only the plan store
+/// survives, memory-warm again after the factors are re-shipped (their
+/// plan decoded from the store, not re-inspected) — same bits both times.
+#[test]
+fn warm_ladder_survives_a_server_restart() {
+    let path = std::env::temp_dir().join(format!("rtpl_loopback_ladder_{}", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let cfg = || {
+        let mut cfg = test_server_config();
+        cfg.runtime.store_path = Some(path.clone());
+        // No background warm thread: it would race the request to the
+        // store, and the ladder below must see the request pay the decode.
+        cfg.warm_limit = 0;
+        cfg
+    };
+    let (f, b) = test_factors();
+    let key = Runtime::solve_key(&f);
+    let expect = reference_solve(&f, &b);
+    let level = |client: &mut Client| match client.warm_check(key).unwrap() {
+        Response::WarmStatus { level } => level,
+        other => panic!("warm check answered {other:?}"),
+    };
+    let solve = |client: &mut Client| match client.solve(&f.l, &f.u, &b).unwrap() {
+        Response::Solved { x, .. } => x,
+        other => panic!("solve answered {other:?}"),
+    };
+
+    let server = Server::spawn(cfg()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    assert_eq!(level(&mut client), WarmLevel::Cold);
+    assert_eq!(solve(&mut client), expect);
+    assert_eq!(level(&mut client), WarmLevel::Memory);
+    drop(client);
+    server.shutdown().unwrap(); // flushes the store
+
+    let server = Server::spawn(cfg()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    assert_eq!(level(&mut client), WarmLevel::Disk);
+    assert_eq!(solve(&mut client), expect);
+    assert_eq!(level(&mut client), WarmLevel::Memory);
+    assert_eq!(server.runtime().stats().store_hits, 1);
+    drop(client);
+    server.shutdown().unwrap();
+    let _ = std::fs::remove_file(&path);
 }
