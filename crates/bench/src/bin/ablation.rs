@@ -1,6 +1,6 @@
 //! **Ablations** — the design-choice studies DESIGN.md calls out.
 //!
-//! 1. *Barrier elision* (the Nicol & Saltz [13] synchronization/load-balance
+//! 1. *Barrier elision* (the Nicol & Saltz \[13\] synchronization/load-balance
 //!    tradeoff the paper cites): kept-barrier counts and simulated
 //!    pre-scheduled times with full vs minimal barrier sets, under wrapped
 //!    (global) and contiguous (local) schedules.
@@ -11,9 +11,7 @@
 
 use rtpl::executor::{ValueSource, WorkerPool};
 use rtpl::inspector::{BarrierPlan, DepGraph, Partition, Schedule, Wavefronts};
-use rtpl::krylov::{
-    gmres, ExecutorKind, KrylovConfig, Preconditioner, Sorting, TriangularSolvePlan,
-};
+use rtpl::krylov::{gmres, ExecutorKind, KrylovConfig, Preconditioner, Sorting};
 use rtpl::sim::{self, CostModel};
 use rtpl::workload::{ProblemId, TestProblem};
 use rtpl_bench::{f3, SolveCase, Table};
@@ -133,9 +131,7 @@ fn main() {
         let f = rtpl::sparse::iluk(&a, k).unwrap();
         let g = DepGraph::from_lower_triangular(&f.l).unwrap();
         let phases = Wavefronts::compute(&g).unwrap().num_wavefronts();
-        let plan =
-            TriangularSolvePlan::new(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
-        let m = Preconditioner::Ilu(plan);
+        let m = Preconditioner::ilu(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
         let mut x = vec![0.0; n];
         let stats = gmres(
             &pool,

@@ -52,14 +52,13 @@ fn main() {
         // Real solver run (sequential host) for the iteration count.
         let f = rtpl::sparse::ilu0(a).expect("ilu0");
         let pool = WorkerPool::new(1);
-        let plan = rtpl::krylov::TriangularSolvePlan::new(
+        let m = Preconditioner::ilu(
             &f,
             1,
             rtpl::krylov::ExecutorKind::Sequential,
             rtpl::krylov::Sorting::Global,
         )
         .unwrap();
-        let m = Preconditioner::Ilu(plan);
         let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.017).sin()).collect();
         let mut x = vec![0.0; n];
         let cfg = KrylovConfig {

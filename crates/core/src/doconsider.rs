@@ -126,7 +126,7 @@ impl DoConsider {
     }
 }
 
-/// The companion **`dodynamic`** construct (the paper's reference [11]) for
+/// The companion **`dodynamic`** construct (the paper's reference \[11\]) for
 /// loops that are *not* start-time schedulable: the dependence targets are
 /// themselves computed during the loop, so no inspector can run ahead of
 /// execution. Iterations execute in natural order, index `i` on processor

@@ -36,7 +36,7 @@
 //!   executions of the same plan concurrently** — exactly what a plan cache
 //!   serving a Zipf-skewed request mix needs.
 //!
-//! All four [`ExecPolicy`] disciplines plus the sequential reference are
+//! All four [`crate::ExecPolicy`] disciplines plus the sequential reference are
 //! available, and every one performs bit-identical per-row arithmetic
 //! (subtract operand products in spec order, then multiply the scale), so
 //! results are bit-exact across policies, processor counts, and against the

@@ -35,11 +35,11 @@
 //! [`shared::PublishedSource`], or the sequential [`DirectSource`]) — there
 //! is no `dyn Fn` or `dyn ValueSource` call anywhere on an executor hot
 //! path. The per-discipline free functions ([`pre_scheduled`],
-//! [`self_executing`], [`doacross`], [`doall`], …) remain available and are
+//! [`self_executing`], [`doacross()`], [`doall()`], …) remain available and are
 //! equally generic; `PlannedLoop::run` is a thin planner-owned dispatcher
 //! over the same cores.
 //!
-//! Every executor — including the embarrassingly parallel [`doall`] family —
+//! Every executor — including the embarrassingly parallel [`mod@doall`] family —
 //! reports its run through one [`ExecReport`]: barriers performed, busy-wait
 //! stalls, per-processor iteration counts, and wall time.
 //!

@@ -1,6 +1,6 @@
 //! Barrier elision for pre-scheduled execution.
 //!
-//! The paper cites Nicol & Saltz [13] for "rearranging the global
+//! The paper cites Nicol & Saltz \[13\] for "rearranging the global
 //! synchronizations in a way that obtains a tradeoff between improved load
 //! balance and the costs of the global synchronizations". This module
 //! implements the synchronization-reduction half of that tradeoff: a

@@ -7,8 +7,11 @@
 //!
 //! * [`parvec`] — SAXPYs, inner products and sparse matrix–vector products
 //!   over contiguous index blocks (`doall` parallelism);
-//! * [`trisolve`] — forward/backward sparse triangular solves driven by the
-//!   inspector's schedules and any of the four executors;
+//! * [`trisolve`] — forward/backward sparse triangular solves: a
+//!   values-free inspection of the factors' structure
+//!   ([`TriangularSolvePlan`]), compiled once into execution-order layouts
+//!   ([`CompiledTriSolve`]), then handed the factor values on every solve
+//!   under any of the four executors;
 //! * [`factor`] — the parallel numeric incomplete factorization (row
 //!   granularity, pivot rows awaited through [`rtpl_executor::SharedRows`]);
 //! * [`precond`] — Jacobi and ILU preconditioner application;
@@ -23,11 +26,10 @@ pub mod precond;
 pub mod solvers;
 pub mod trisolve;
 
-pub use precond::{Precondition, Preconditioner};
+pub use precond::{LoadedIlu, Precondition, Preconditioner};
 pub use solvers::{bicgstab, cg, gmres, KrylovConfig, SolveStats};
 pub use trisolve::{
-    CompiledSolveScratch, CompiledTriSolve, ExecutorKind, SolveScratch, Sorting,
-    TriangularSolvePlan,
+    CompiledSolveScratch, CompiledTriSolve, ExecutorKind, Sorting, TriangularSolvePlan,
 };
 
 /// Errors from solver construction and execution.

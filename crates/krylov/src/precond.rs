@@ -1,9 +1,13 @@
 //! Preconditioner application.
 
-use crate::trisolve::TriangularSolvePlan;
+use crate::trisolve::{
+    CompiledSolveScratch, CompiledTriSolve, ExecutorKind, Sorting, TriangularSolvePlan,
+};
 use crate::{KrylovError, Result};
 use rtpl_executor::WorkerPool;
+use rtpl_sparse::ilu::IluFactors;
 use rtpl_sparse::Csr;
+use std::sync::Mutex;
 
 /// Anything the Krylov iterations can use as `z = M⁻¹ r`.
 ///
@@ -42,11 +46,39 @@ pub enum Preconditioner {
     /// `M = diag(A)`; stores the inverse diagonal.
     Jacobi(Vec<f64>),
     /// `M = L U` from an incomplete factorization, applied by the parallel
-    /// triangular solves — the paper's configuration.
-    Ilu(TriangularSolvePlan),
+    /// triangular solves — the paper's configuration. Built by
+    /// [`Preconditioner::ilu`] (or [`Preconditioner::ssor`]).
+    Ilu(LoadedIlu),
+}
+
+/// One factor pair ready to apply: the compiled solve of its pattern with
+/// its values already gathered into the scratch every application reuses.
+pub struct LoadedIlu {
+    compiled: CompiledTriSolve,
+    scratch: Mutex<CompiledSolveScratch>,
 }
 
 impl Preconditioner {
+    /// Builds the `M = L U` preconditioner: inspects the factors'
+    /// structure for `nprocs` processors, compiles the plan, and gathers
+    /// the factor values **once** — every application is then one warm
+    /// sweep pair under `kind`. A zero on `U`'s diagonal is reported here,
+    /// by that gather.
+    pub fn ilu(
+        factors: &IluFactors,
+        nprocs: usize,
+        kind: ExecutorKind,
+        sorting: Sorting,
+    ) -> Result<Self> {
+        let compiled = TriangularSolvePlan::new(factors, nprocs, kind, sorting)?.compile()?;
+        let mut scratch = compiled.scratch();
+        compiled.load_values(factors, &mut scratch)?;
+        Ok(Preconditioner::Ilu(LoadedIlu {
+            compiled,
+            scratch: Mutex::new(scratch),
+        }))
+    }
+
     /// Builds a Jacobi preconditioner from the matrix diagonal.
     pub fn jacobi(a: &Csr) -> Result<Self> {
         let d = a.diagonal()?;
@@ -70,8 +102,8 @@ impl Preconditioner {
         a: &Csr,
         omega: f64,
         nprocs: usize,
-        kind: crate::trisolve::ExecutorKind,
-        sorting: crate::trisolve::Sorting,
+        kind: ExecutorKind,
+        sorting: Sorting,
     ) -> Result<Self> {
         if !(0.0 < omega && omega < 2.0) {
             return Err(KrylovError::Breakdown { at_iteration: 0 });
@@ -104,14 +136,12 @@ impl Preconditioner {
                 };
             }
         }
-        let factors = rtpl_sparse::ilu::IluFactors { l: lhat, u: uhat };
-        Ok(Preconditioner::Ilu(TriangularSolvePlan::new(
-            &factors, nprocs, kind, sorting,
-        )?))
+        Self::ilu(&IluFactors { l: lhat, u: uhat }, nprocs, kind, sorting)
     }
 
-    /// Applies `z = M⁻¹ r`; `work` is scratch of length `n`.
-    pub fn apply(&self, pool: &WorkerPool, r: &[f64], z: &mut [f64], work: &mut [f64]) {
+    /// Applies `z = M⁻¹ r`; `work` is scratch of length `n` (unused by
+    /// the ILU variant, which carries its own).
+    pub fn apply(&self, pool: &WorkerPool, r: &[f64], z: &mut [f64], _work: &mut [f64]) {
         match self {
             Preconditioner::Identity => z.copy_from_slice(r),
             Preconditioner::Jacobi(dinv) => {
@@ -119,7 +149,18 @@ impl Preconditioner {
                     z[i] = r[i] * dinv[i];
                 }
             }
-            Preconditioner::Ilu(plan) => plan.solve(pool, r, z, work),
+            Preconditioner::Ilu(m) => {
+                let mut scratch = m.scratch.lock().unwrap_or_else(|e| e.into_inner());
+                let kind = m.compiled.plan().kind();
+                // PANIC: `apply` has no error channel. The values were
+                // loaded at construction and no cancel token is passed, so
+                // only a sweep that itself panicked can land here.
+                m.compiled
+                    .solve_loaded(Some(pool), kind, r, z, &mut scratch)
+                    .expect(
+                        "invariant: a loaded sweep over library arithmetic has no failure path",
+                    );
+            }
         }
     }
 }
@@ -127,7 +168,6 @@ impl Preconditioner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trisolve::{ExecutorKind, Sorting};
     use rtpl_sparse::gen::laplacian_5pt;
     use rtpl_sparse::ilu0;
 
@@ -241,9 +281,7 @@ mod tests {
     fn ilu_preconditioner_applies_factor_solve() {
         let a = laplacian_5pt(4, 4);
         let f = ilu0(&a).unwrap();
-        let plan =
-            TriangularSolvePlan::new(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
-        let m = Preconditioner::Ilu(plan);
+        let m = Preconditioner::ilu(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
         let pool = WorkerPool::new(2);
         let r = vec![1.0; 16];
         let mut z = vec![0.0; 16];

@@ -386,7 +386,7 @@ fn check_system(a: &Csr, b: &[f64], x: &[f64]) -> Result<usize> {
 mod tests {
     use super::*;
     use crate::precond::Preconditioner;
-    use crate::trisolve::{ExecutorKind, Sorting, TriangularSolvePlan};
+    use crate::trisolve::{ExecutorKind, Sorting};
     use rtpl_sparse::gen::{grid2d_5pt, laplacian_5pt, Coeffs2};
     use rtpl_sparse::ilu0;
 
@@ -425,10 +425,9 @@ mod tests {
         let plain = cg(&pool, &a, &b, &mut x0, &Preconditioner::Identity, &cfg).unwrap();
 
         let f = ilu0(&a).unwrap();
-        let plan =
-            TriangularSolvePlan::new(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
+        let m = Preconditioner::ilu(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
         let mut x1 = vec![0.0; n];
-        let pre = cg(&pool, &a, &b, &mut x1, &Preconditioner::Ilu(plan), &cfg).unwrap();
+        let pre = cg(&pool, &a, &b, &mut x1, &m, &cfg).unwrap();
 
         assert!(pre.converged && plain.converged);
         assert!(
@@ -460,10 +459,9 @@ mod tests {
             restart: 25,
         };
         let f = ilu0(&a).unwrap();
-        let plan =
-            TriangularSolvePlan::new(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
+        let m = Preconditioner::ilu(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
         let mut x = vec![0.0; n];
-        let stats = gmres(&pool, &a, &b, &mut x, &Preconditioner::Ilu(plan), &cfg).unwrap();
+        let stats = gmres(&pool, &a, &b, &mut x, &m, &cfg).unwrap();
         assert!(stats.converged, "{stats:?}");
         assert!(residual_norm(&a, &b, &x) < 1e-6 * rtpl_sparse::dense::norm2(&b));
     }
@@ -486,10 +484,9 @@ mod tests {
             restart: 0,
         };
         let f = ilu0(&a).unwrap();
-        let plan =
-            TriangularSolvePlan::new(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
+        let m = Preconditioner::ilu(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
         let mut x = vec![0.0; n];
-        let stats = bicgstab(&pool, &a, &b, &mut x, &Preconditioner::Ilu(plan), &cfg).unwrap();
+        let stats = bicgstab(&pool, &a, &b, &mut x, &m, &cfg).unwrap();
         assert!(stats.converged, "{stats:?}");
         assert!(residual_norm(&a, &b, &x) < 1e-6 * rtpl_sparse::dense::norm2(&b));
     }

@@ -1,14 +1,25 @@
-//! Parallel sparse triangular solves.
+//! Parallel sparse triangular solves: inspect → compile → solve.
 //!
 //! The forward (`L y = b`) and backward (`U x = y`) substitutions are the
 //! run-time-schedulable loops at the heart of the paper: their dependences
-//! are the factor's off-diagonal structure, known only after the (numeric)
-//! factorization. A [`TriangularSolvePlan`] runs the inspector **once** —
-//! wavefronts, schedules, and barrier plans for both sweeps, as two
-//! [`PlannedLoop`]s — and then executes it every iteration with the chosen
-//! executor, amortizing the sort exactly as the paper does. Repeated solves
-//! allocate nothing: the planned loops reuse their shared buffers via an
-//! O(1) epoch bump.
+//! are the factor's off-diagonal structure, known only after the
+//! factorization. The inspector reads that *structure* once; the executor
+//! is handed the *numbers* every run:
+//!
+//! 1. **Inspect.** A [`TriangularSolvePlan`] is built once per sparsity
+//!    pattern — wavefronts, schedules, and barrier plans for both sweeps,
+//!    as two [`PlannedLoop`]s. It reads index arrays only, so one plan
+//!    serves every refactorization of its pattern, and a plan decoded from
+//!    a stored artifact is the same object a fresh inspection builds.
+//! 2. **Compile.** [`TriangularSolvePlan::compile`] bakes the schedules
+//!    into execution-order data layouts: a [`CompiledTriSolve`], still
+//!    values-free, shareable behind an `Arc`.
+//! 3. **Solve.** Each solve hands the compiled plan the caller's factor
+//!    values ([`CompiledTriSolve::solve`], or one
+//!    [`CompiledTriSolve::load_values`] gather serving many right-hand
+//!    sides) and allocates nothing: per-run state lives in a leasable
+//!    [`CompiledSolveScratch`]. A zero pivot is a property of the values,
+//!    so it is reported per solve, never at plan time.
 //!
 //! The backward sweep is scheduled in *reversed* index space (position
 //! `k` stands for row `n−1−k`), which turns its dependences forward so the
@@ -16,13 +27,11 @@
 
 use crate::{KrylovError, Result};
 use rtpl_executor::compiled::{CompiledError, CompiledPlan, CompiledSpec, RunScratch};
-use rtpl_executor::{
-    CancelToken, ExecPolicy, ExecReport, LoopBody, PlannedLoop, ValueSource, WorkerPool,
-};
+use rtpl_executor::{CancelToken, ExecPolicy, ExecReport, PlannedLoop, WorkerPool};
 use rtpl_inspector::{BarrierPlan, CoalesceStats, DepGraph, Partition, Schedule, Wavefronts};
 use rtpl_sparse::ilu::IluFactors;
 use rtpl_sparse::wire::{WireError, WireReader, WireResult, WireWriter};
-use rtpl_sparse::Csr;
+use rtpl_sparse::{Csr, SparseError};
 
 /// Which executor runs the scheduled loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,95 +84,47 @@ pub enum Sorting {
     LocalContiguous,
 }
 
-/// The forward-substitution body: `y(i) = b(i) − Σ_j L(i,j)·y(j)`.
-struct ForwardBody<'a> {
-    l: &'a Csr,
-    b: &'a [f64],
+/// One factor's sparsity structure: the index half of a CSR matrix.
+#[derive(Debug)]
+struct Pattern {
+    indptr: Vec<usize>,
+    indices: Vec<u32>,
 }
 
-impl LoopBody for ForwardBody<'_> {
-    #[inline]
-    fn eval<S: ValueSource>(&self, i: usize, src: &S) -> f64 {
-        let mut acc = self.b[i];
-        for (j, v) in self.l.row(i) {
-            acc -= v * src.get(j);
+impl Pattern {
+    fn of(m: &Csr) -> Self {
+        Pattern {
+            indptr: m.indptr().to_vec(),
+            indices: m.indices().to_vec(),
         }
-        acc
+    }
+
+    fn nnz(&self) -> usize {
+        self.indices.len()
+    }
+
+    /// Row `i`'s column indices, each paired with its position in the
+    /// factor's value array.
+    fn row(&self, i: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let (lo, hi) = (self.indptr[i], self.indptr[i + 1]);
+        self.indices[lo..hi].iter().copied().zip(lo as u32..)
+    }
+
+    fn same_as(&self, m: &Csr) -> bool {
+        self.indptr == m.indptr() && self.indices == m.indices()
     }
 }
 
-/// The backward-substitution body in reversed index space: position `k`
-/// computes row `i = n−1−k`; operands are positions `n−1−j`.
-///
-/// The strict-upper filter and the diagonal inversion were hoisted to plan
-/// build time: `u_strict` holds only the above-diagonal structure and
-/// `uvals` the matching coefficients (the plan's own, or a per-call gather
-/// for [`TriangularSolvePlan::solve_with`]), so the inner loop performs no
-/// `j > i` branch on any nonzero.
-struct BackwardBody<'a> {
-    u_strict: &'a Csr,
-    uvals: &'a [f64],
-    y: &'a [f64],
-    dinv: &'a [f64],
-    n: usize,
-}
-
-impl LoopBody for BackwardBody<'_> {
-    #[inline]
-    fn eval<S: ValueSource>(&self, k: usize, src: &S) -> f64 {
-        let i = self.n - 1 - k;
-        let mut acc = self.y[i];
-        let lo = self.u_strict.indptr()[i];
-        let hi = self.u_strict.indptr()[i + 1];
-        for (&j, &v) in self.u_strict.indices()[lo..hi]
-            .iter()
-            .zip(&self.uvals[lo..hi])
-        {
-            acc -= v * src.get(self.n - 1 - j as usize);
-        }
-        acc * self.dinv[i]
-    }
-}
-
-/// Reusable scratch for [`TriangularSolvePlan::solve_with`]: the forward
-/// sweep output, the per-call inverse diagonal of `U`, and the per-call
-/// strict-upper coefficient gather.
-#[derive(Clone, Debug)]
-pub struct SolveScratch {
-    work: Vec<f64>,
-    dinv: Vec<f64>,
-    uvals: Vec<f64>,
-}
-
-impl SolveScratch {
-    /// Scratch for systems of order `n`. (The strict-upper value buffer
-    /// sizes itself to the plan on first use.)
-    pub fn new(n: usize) -> Self {
-        SolveScratch {
-            work: vec![0.0; n],
-            dinv: vec![0.0; n],
-            uvals: Vec::new(),
-        }
-    }
-}
-
-/// A reusable plan for applying `(L·U)⁻¹`.
+/// The inspection product for applying `(L·U)⁻¹`: both sweeps' schedules
+/// over one sparsity pattern. A function of the factors' **structure
+/// alone** — it holds index arrays and schedules, no factor value — and not
+/// itself executable: [`TriangularSolvePlan::compile`] turns it into the
+/// solver.
 #[derive(Debug)]
 pub struct TriangularSolvePlan {
     n: usize,
-    l: Csr,
-    u: Csr,
-    /// The strict upper triangle of `u` (structure + the plan's own
-    /// values), filtered once at build time so no executor branches on
-    /// `j > i` per nonzero.
-    u_strict: Csr,
-    /// Position in `u.data()` of each `u_strict` nonzero — the per-call
-    /// value gather map for [`TriangularSolvePlan::solve_with`].
-    u_strict_src: Vec<u32>,
-    /// Position in `u.data()` of each row's diagonal (no per-call binary
-    /// search).
-    udiag_pos: Vec<u32>,
-    udiag_inv: Vec<f64>,
+    l: Pattern,
+    u: Pattern,
     plan_l: PlannedLoop,
     plan_u: PlannedLoop,
     kind: ExecutorKind,
@@ -171,8 +132,24 @@ pub struct TriangularSolvePlan {
     coalesce_u: Option<CoalesceStats>,
 }
 
+/// The structural pass every plan goes through, freshly inspected or
+/// decoded: `L` lower and `U` upper triangular (the dependence graphs'
+/// constructors prove it), and every row of `U` stores its diagonal — the
+/// backward sweep scales by its reciprocal. With `U` upper triangular and
+/// rows sorted, a stored diagonal leads its row, so its position in the
+/// value array is `indptr[i]` and needs no array of its own.
+fn dependence_graphs(l: &Csr, u: &Csr) -> Result<(DepGraph, DepGraph)> {
+    let g_l = DepGraph::from_lower_triangular(l)?;
+    let g_u = DepGraph::from_upper_triangular(u)?;
+    match (0..u.nrows()).find(|&i| u.row_indices(i).first() != Some(&(i as u32))) {
+        Some(row) => Err(SparseError::MissingDiagonal { row }.into()),
+        None => Ok((g_l, g_u)),
+    }
+}
+
 impl TriangularSolvePlan {
-    /// Inspects the factors and builds schedules for `nprocs` processors.
+    /// Inspects the factors' structure and builds schedules for `nprocs`
+    /// processors.
     ///
     /// Phases are left exactly as the wavefront computation produced them —
     /// use [`TriangularSolvePlan::new_with_grain`] to merge shallow phases.
@@ -192,6 +169,9 @@ impl TriangularSolvePlan {
     /// inside a merged phase honored by each processor's baked execution
     /// order instead of a synchronization point. `None` (and `new`) keep
     /// the one-phase-per-wavefront schedule.
+    ///
+    /// Only `factors`' index arrays are read; a zero on `U`'s diagonal is
+    /// the solve's to report ([`CompiledTriSolve::load_values`]).
     pub fn new_with_grain(
         factors: &IluFactors,
         nprocs: usize,
@@ -199,47 +179,13 @@ impl TriangularSolvePlan {
         sorting: Sorting,
         grain: Option<f64>,
     ) -> Result<Self> {
-        let n = factors.n();
-        let l = factors.l.clone();
-        let u = factors.u.clone();
-        let udiag = u.diagonal()?;
-        if let Some(row) = udiag.iter().position(|&d| d == 0.0) {
-            return Err(KrylovError::Sparse(rtpl_sparse::SparseError::ZeroPivot {
-                row,
-            }));
-        }
-        let udiag_inv = udiag.iter().map(|d| 1.0 / d).collect();
-        // One pass over U hoists everything the backward sweep used to
-        // redo per run: the strict-upper filter, the diagonal positions,
-        // and (for `solve_with`) where each kept coefficient lives in the
-        // caller's value array.
-        let u_strict = u.strict_upper();
-        let mut u_strict_src = Vec::with_capacity(u_strict.nnz());
-        let mut udiag_pos = vec![0u32; n];
-        for i in 0..n {
-            let lo = u.indptr()[i];
-            for (k, &j) in u.row_indices(i).iter().enumerate() {
-                let pos = (lo + k) as u32;
-                match (j as usize).cmp(&i) {
-                    std::cmp::Ordering::Greater => u_strict_src.push(pos),
-                    std::cmp::Ordering::Equal => udiag_pos[i] = pos,
-                    std::cmp::Ordering::Less => {}
-                }
-            }
-        }
-        debug_assert_eq!(u_strict_src.len(), u_strict.nnz());
-        let g_l = DepGraph::from_lower_triangular(&l)?;
-        let g_u = DepGraph::from_upper_triangular(&u)?;
+        let (g_l, g_u) = dependence_graphs(&factors.l, &factors.u)?;
         let (plan_l, coalesce_l) = make_plan(g_l, nprocs, sorting, grain)?;
         let (plan_u, coalesce_u) = make_plan(g_u, nprocs, sorting, grain)?;
         Ok(TriangularSolvePlan {
-            n,
-            l,
-            u,
-            u_strict,
-            u_strict_src,
-            udiag_pos,
-            udiag_inv,
+            n: factors.n(),
+            l: Pattern::of(&factors.l),
+            u: Pattern::of(&factors.u),
             plan_l,
             plan_u,
             kind,
@@ -253,7 +199,8 @@ impl TriangularSolvePlan {
         self.n
     }
 
-    /// Executor in use.
+    /// The executor the plan was built for — a default for callers that
+    /// pick no kind per solve (it rides in the artifact).
     pub fn kind(&self) -> ExecutorKind {
         self.kind
     }
@@ -271,17 +218,8 @@ impl TriangularSolvePlan {
         (self.coalesce_l, self.coalesce_u)
     }
 
-    /// The forward schedule (for simulation/statistics).
-    pub fn schedule_l(&self) -> &Schedule {
-        self.plan_l.schedule()
-    }
-
-    /// The backward schedule, in reversed index space.
-    pub fn schedule_u(&self) -> &Schedule {
-        self.plan_u.schedule()
-    }
-
-    /// The planned forward-sweep loop (for cost prediction / simulation).
+    /// The planned forward-sweep loop (schedule, graph, barrier plan — for
+    /// cost prediction, simulation, verification).
     pub fn plan_l(&self) -> &PlannedLoop {
         &self.plan_l
     }
@@ -293,96 +231,11 @@ impl TriangularSolvePlan {
 
     /// Flop weights of the forward sweep rows.
     pub fn weights_l(&self) -> Vec<f64> {
-        (0..self.n)
-            .map(|i| 1.0 + self.l.row_nnz(i) as f64)
+        self.l
+            .indptr
+            .windows(2)
+            .map(|w| 1.0 + (w[1] - w[0]) as f64)
             .collect()
-    }
-
-    /// Solves `L U x = b`; `work` is scratch of length `n`.
-    pub fn solve(&self, pool: &WorkerPool, b: &[f64], x: &mut [f64], work: &mut [f64]) {
-        self.forward(pool, b, work);
-        self.backward(pool, work, x);
-    }
-
-    /// As [`TriangularSolvePlan::solve`], returning the two sweep reports.
-    pub fn solve_reporting(
-        &self,
-        pool: &WorkerPool,
-        b: &[f64],
-        x: &mut [f64],
-        work: &mut [f64],
-    ) -> (ExecReport, ExecReport) {
-        let fwd = self.forward(pool, b, work);
-        let bwd = self.backward(pool, work, x);
-        (fwd, bwd)
-    }
-
-    /// Solves `L U x = b` with **caller-supplied factor values** and a
-    /// **per-call executor discipline**, returning the two sweep reports.
-    ///
-    /// The plan is a function of the factors' *structure* only, so one plan
-    /// (e.g. fetched from a structure-keyed cache) serves every factor that
-    /// shares the sparsity pattern — refreshed numeric values each call,
-    /// the discipline chosen by an adaptive policy rather than fixed at
-    /// construction. `factors` must have exactly the pattern the plan was
-    /// inspected from (order and nonzero counts are checked always, the
-    /// full index arrays in debug builds); values are unconstrained except
-    /// for `U`'s diagonal, which must exist and be nonzero.
-    ///
-    /// `pool` may be `None` only for [`ExecutorKind::Sequential`] (the
-    /// sequential sweep forks no team); parallel kinds panic without one.
-    pub fn solve_with(
-        &self,
-        pool: Option<&WorkerPool>,
-        kind: ExecutorKind,
-        factors: &IluFactors,
-        b: &[f64],
-        x: &mut [f64],
-        scratch: &mut SolveScratch,
-    ) -> Result<(ExecReport, ExecReport)> {
-        self.check_same_pattern(factors)?;
-        assert_eq!(b.len(), self.n);
-        assert_eq!(x.len(), self.n);
-        assert_eq!(scratch.work.len(), self.n);
-        let udata = factors.u.data();
-        for i in 0..self.n {
-            let d = udata[self.udiag_pos[i] as usize];
-            if d == 0.0 {
-                return Err(KrylovError::Sparse(rtpl_sparse::SparseError::ZeroPivot {
-                    row: i,
-                }));
-            }
-            scratch.dinv[i] = 1.0 / d;
-        }
-        // Gather the caller's strict-upper coefficients once (linear
-        // write), so the backward body runs branch-free over them.
-        scratch.uvals.resize(self.u_strict.nnz(), 0.0);
-        for (v, &pos) in scratch.uvals.iter_mut().zip(&self.u_strict_src) {
-            *v = udata[pos as usize];
-        }
-        let pool = kind
-            .policy()
-            .map(|_| pool.expect("parallel executor kinds require a worker pool"));
-        let fwd_body = ForwardBody { l: &factors.l, b };
-        let fwd = match (kind.policy(), pool) {
-            (Some(policy), Some(pool)) => {
-                self.plan_l.run(pool, policy, &fwd_body, &mut scratch.work)
-            }
-            _ => self.plan_l.run_sequential(&fwd_body, &mut scratch.work),
-        };
-        let bwd_body = BackwardBody {
-            u_strict: &self.u_strict,
-            uvals: &scratch.uvals,
-            y: &scratch.work,
-            dinv: &scratch.dinv,
-            n: self.n,
-        };
-        let bwd = match (kind.policy(), pool) {
-            (Some(policy), Some(pool)) => self.plan_u.run(pool, policy, &bwd_body, x),
-            _ => self.plan_u.run_sequential(&bwd_body, x),
-        };
-        x.reverse();
-        Ok((fwd, bwd))
     }
 
     /// Cheap release-mode pattern compatibility check (full structural
@@ -395,123 +248,72 @@ impl TriangularSolvePlan {
             });
         }
         if factors.l.nnz() != self.l.nnz() || factors.u.nnz() != self.u.nnz() {
-            return Err(KrylovError::Sparse(
-                rtpl_sparse::SparseError::InvalidStructure(format!(
-                    "factor pattern does not match the plan: L nnz {} vs {}, U nnz {} vs {}",
-                    factors.l.nnz(),
-                    self.l.nnz(),
-                    factors.u.nnz(),
-                    self.u.nnz()
-                )),
-            ));
+            return Err(SparseError::InvalidStructure(format!(
+                "factor pattern does not match the plan: L nnz {} vs {}, U nnz {} vs {}",
+                factors.l.nnz(),
+                self.l.nnz(),
+                factors.u.nnz(),
+                self.u.nnz()
+            ))
+            .into());
         }
-        debug_assert_eq!(factors.l.indptr(), self.l.indptr());
-        debug_assert_eq!(factors.l.indices(), self.l.indices());
-        debug_assert_eq!(factors.u.indptr(), self.u.indptr());
-        debug_assert_eq!(factors.u.indices(), self.u.indices());
+        debug_assert!(self.l.same_as(&factors.l) && self.u.same_as(&factors.u));
         Ok(())
     }
 
-    /// Forward substitution `L y = b` (unit diagonal).
-    pub fn forward(&self, pool: &WorkerPool, b: &[f64], y: &mut [f64]) -> ExecReport {
-        assert_eq!(b.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        let body = ForwardBody { l: &self.l, b };
-        match self.kind.policy() {
-            None => self.plan_l.run_sequential(&body, y),
-            Some(policy) => self.plan_l.run(pool, policy, &body, y),
-        }
-    }
-
-    /// Backward substitution `U x = y` (stored diagonal), run in reversed
-    /// index space. `x` doubles as the executor's reversed-space output
-    /// buffer, so no per-call scratch is allocated.
-    pub fn backward(&self, pool: &WorkerPool, y: &[f64], x: &mut [f64]) -> ExecReport {
-        assert_eq!(y.len(), self.n);
-        assert_eq!(x.len(), self.n);
-        let body = BackwardBody {
-            u_strict: &self.u_strict,
-            uvals: self.u_strict.data(),
-            y,
-            dinv: &self.udiag_inv,
-            n: self.n,
-        };
-        // Executor output is in reversed space; un-reverse in place.
-        let report = match self.kind.policy() {
-            None => self.plan_u.run_sequential(&body, x),
-            Some(policy) => self.plan_u.run(pool, policy, &body, x),
-        };
-        x.reverse();
-        report
-    }
-}
-
-/// Maps an executor-layer compiled error into solver terms.
-fn map_compiled(e: CompiledError) -> KrylovError {
-    match e {
-        CompiledError::ZeroScale { row } => {
-            KrylovError::Sparse(rtpl_sparse::SparseError::ZeroPivot { row })
-        }
-        other => KrylovError::Sparse(rtpl_sparse::SparseError::InvalidStructure(format!(
-            "compiled triangular solve: {other}"
-        ))),
-    }
-}
-
-impl TriangularSolvePlan {
     /// Compiles the fused forward+backward solve into schedule-order data
     /// layouts ([`CompiledPlan`]s), consuming the plan (which stays
-    /// available through [`CompiledTriSolve::plan`] for prediction,
-    /// statistics, and the uncompiled fallback path).
+    /// available through [`CompiledTriSolve::plan`] for prediction and
+    /// statistics).
     ///
-    /// Everything the uncompiled executors redo per run is resolved here
+    /// Everything a sweep would otherwise redo per run is resolved here
     /// once: the backward sweep's `n−1−j` reversed-space remap and
     /// strict-upper filter are baked into the operand indices, the
-    /// inverse diagonal is pre-applied as a per-row scale, and each
-    /// processor's work is a contiguous segment streamed linearly.
+    /// diagonal's reciprocal becomes a per-row scale applied at gather
+    /// time, and each processor's work is a contiguous segment streamed
+    /// linearly.
     pub fn compile(self) -> Result<CompiledTriSolve> {
         let n = self.n;
         let mut fwd_spec = CompiledSpec::new(n, self.l.nnz());
         for i in 0..n {
-            let lo = self.l.indptr()[i];
-            fwd_spec.push_row(
-                i as u32,
-                i as u32,
-                self.l
-                    .row_indices(i)
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &j)| (j, (lo + k) as u32)),
-            );
+            fwd_spec.push_row(i as u32, i as u32, self.l.row(i));
         }
         let fwd = CompiledPlan::compile(&self.plan_l, &fwd_spec).map_err(map_compiled)?;
 
         // Backward, in reversed index space: plan position k stands for
         // row i = n−1−k; operand j>i becomes plan index n−1−j; values
-        // gather straight from the caller's U array (strict-upper filter
-        // resolved by the spec); the diagonal's reciprocal is the scale.
+        // gather straight from the caller's U array. The diagonal leads
+        // its row (`dependence_graphs`): skipped as an operand, its
+        // position is the reciprocal scale's source.
         let mut bwd_spec = CompiledSpec::new(n, self.u.nnz());
         for k in 0..n {
             let i = n - 1 - k;
-            let lo = self.u.indptr()[i];
             bwd_spec.push_row(
                 i as u32,
                 i as u32,
                 self.u
-                    .row_indices(i)
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &j)| (j as usize) > i)
-                    .map(|(t, &j)| ((n - 1 - j as usize) as u32, (lo + t) as u32)),
+                    .row(i)
+                    .skip(1)
+                    .map(|(j, pos)| ((n - 1 - j as usize) as u32, pos)),
             );
         }
-        bwd_spec.set_recip_scale((0..n).map(|k| self.udiag_pos[n - 1 - k]).collect());
+        bwd_spec.set_recip_scale((0..n).map(|k| self.u.indptr[n - 1 - k] as u32).collect());
         let bwd = CompiledPlan::compile(&self.plan_u, &bwd_spec).map_err(map_compiled)?;
         Ok(CompiledTriSolve {
             plan: self,
             fwd,
             bwd,
         })
+    }
+}
+
+/// Maps an executor-layer compiled error into solver terms.
+fn map_compiled(e: CompiledError) -> KrylovError {
+    match e {
+        CompiledError::ZeroScale { row } => SparseError::ZeroPivot { row }.into(),
+        other => {
+            SparseError::InvalidStructure(format!("compiled triangular solve: {other}")).into()
+        }
     }
 }
 
@@ -523,8 +325,8 @@ impl TriangularSolvePlan {
 /// an `Arc` and give each concurrent request its own
 /// [`CompiledSolveScratch`]; any number of threads then solve the same
 /// cached pattern simultaneously. Results are bit-exact across all
-/// [`ExecutorKind`]s, processor counts, and against the uncompiled
-/// [`TriangularSolvePlan::solve_with`] path.
+/// [`ExecutorKind`]s and processor counts, and with the naive
+/// natural-order substitution loop.
 #[derive(Debug)]
 pub struct CompiledTriSolve {
     plan: TriangularSolvePlan,
@@ -542,8 +344,7 @@ pub struct CompiledSolveScratch {
 }
 
 impl CompiledTriSolve {
-    /// The originating plan (schedules, graphs, phase counts, fallback
-    /// path).
+    /// The originating plan (schedules, graphs, phase counts).
     pub fn plan(&self) -> &TriangularSolvePlan {
         &self.plan
     }
@@ -579,9 +380,13 @@ impl CompiledTriSolve {
     /// Values are attached by one linear gather per sweep
     /// ([`CompiledPlan::load_values`], which also pre-applies `U`'s
     /// inverse diagonal); the runs themselves stream the compiled layout.
-    /// `factors` must share the pattern the plan was inspected from
-    /// (checked as in [`TriangularSolvePlan::solve_with`]); `pool` may be
-    /// `None` only for [`ExecutorKind::Sequential`].
+    /// `factors` must share the pattern the plan was inspected from (order
+    /// and nonzero counts are checked always, the full index arrays in
+    /// debug builds); values are unconstrained except for `U`'s diagonal,
+    /// where a zero reports [`rtpl_sparse::SparseError::ZeroPivot`] with
+    /// `x` unwritten. `pool` may be `None` only for
+    /// [`ExecutorKind::Sequential`] (the sequential sweep forks no team);
+    /// parallel kinds panic without one.
     pub fn solve(
         &self,
         pool: Option<&WorkerPool>,
@@ -635,7 +440,10 @@ impl CompiledTriSolve {
     /// [`CompiledTriSolve::solve_loaded`] per right-hand side.
     ///
     /// `factors` must share the pattern the plan was inspected from
-    /// (checked as in [`TriangularSolvePlan::solve_with`]).
+    /// (checked as in [`CompiledTriSolve::solve`]). A zero on `U`'s
+    /// diagonal reports [`rtpl_sparse::SparseError::ZeroPivot`]; the
+    /// scratch then holds a partial gather and needs a successful load
+    /// before the next [`CompiledTriSolve::solve_loaded`].
     pub fn load_values(
         &self,
         factors: &IluFactors,
@@ -783,15 +591,10 @@ impl CompiledTriSolve {
         w.put_u8(kind_to_u8(p.kind));
         put_coalesce(&mut w, p.coalesce_l);
         put_coalesce(&mut w, p.coalesce_u);
-        w.put_usizes32(p.l.indptr());
-        w.put_u32s(p.l.indices());
-        w.put_usizes32(p.u.indptr());
-        w.put_u32s(p.u.indices());
-        // The dependence graphs are NOT stored: they are deterministic,
-        // cheap functions of the factor structure above (the L graph's
-        // adjacency arrays coincide with `l`'s; the U graph is the
-        // reversed-space map of `u`'s strict upper), so decode rebuilds
-        // them instead of paying their bytes twice.
+        w.put_usizes32(&p.l.indptr);
+        w.put_u32s(&p.l.indices);
+        w.put_usizes32(&p.u.indptr);
+        w.put_u32s(&p.u.indices);
         p.plan_l.schedule().encode(&mut w);
         p.plan_l.barrier_plan().encode(&mut w);
         p.plan_u.schedule().encode(&mut w);
@@ -805,22 +608,15 @@ impl CompiledTriSolve {
     /// bytes **without re-running the expensive inspector stages**: no
     /// wavefront computation, no schedule sort or validation, no barrier
     /// cover re-derivation, no compile-time permutation proof — only
-    /// linear shape-and-bounds checks plus the single-pass dependence
-    /// graph rebuild from the factor structure. That asymmetry is the
+    /// linear shape-and-bounds checks plus the structural pass every
+    /// fresh plan goes through (triangularity, stored diagonals, the
+    /// single-pass dependence graph rebuild). That asymmetry is the
     /// point: a store hit must be much cheaper than a cold inspect +
     /// compile.
     ///
-    /// The reconstructed plan carries **placeholder numeric values**
-    /// (zeros; unit inverse diagonal). It is only valid for the
-    /// per-call-value paths — [`CompiledTriSolve::solve`],
-    /// [`CompiledTriSolve::solve_fused_sequential`],
-    /// [`CompiledTriSolve::load_values`] +
-    /// [`CompiledTriSolve::solve_loaded`], and
-    /// [`TriangularSolvePlan::solve_with`] — which are bit-exact with a
-    /// freshly inspected plan because they gather every coefficient from
-    /// the caller's factors. The value-owning convenience paths
-    /// ([`TriangularSolvePlan::solve`]/`forward`/`backward`) would solve
-    /// with the placeholders; do not use them on a decoded plan.
+    /// Plans hold no numeric values, so the result is the same object a
+    /// fresh inspection of the pattern builds: every solving path works on
+    /// it, bit-exact with the original.
     pub fn decode_artifact(bytes: &[u8]) -> WireResult<CompiledTriSolve> {
         let mut r = WireReader::new(bytes);
         let version = r.u32()?;
@@ -831,7 +627,7 @@ impl CompiledTriSolve {
         }
         let n = r.u64()? as usize;
         // Compiled layouts index rows with u32s; a larger order cannot have
-        // been encoded (and makes the `i as u32` comparisons below exact).
+        // been encoded.
         if n > u32::MAX as usize {
             return Err(WireError::Invalid(format!(
                 "artifact order {n} exceeds u32 row indexing"
@@ -841,30 +637,31 @@ impl CompiledTriSolve {
             .ok_or_else(|| WireError::Invalid("unknown executor kind tag".into()))?;
         let coalesce_l = get_coalesce(&mut r)?;
         let coalesce_u = get_coalesce(&mut r)?;
-        let bad_csr =
-            |e: rtpl_sparse::SparseError| WireError::Invalid(format!("artifact structure: {e}"));
-        let l_indptr = r.usizes32()?;
-        let l_indices = r.u32s()?;
-        let l_vals = vec![0.0; l_indices.len()];
-        let l = Csr::try_new(n, n, l_indptr, l_indices, l_vals).map_err(bad_csr)?;
-        let u_indptr = r.usizes32()?;
-        let u_indices = r.u32s()?;
-        let u_vals = vec![0.0; u_indices.len()];
-        let u = Csr::try_new(n, n, u_indptr, u_indices, u_vals).map_err(bad_csr)?;
+        // `Csr` is the workspace's validated structure carrier, and what
+        // the dependence-graph constructors read: each factor's index
+        // arrays ride in a zero-valued matrix for the length of this
+        // function.
+        fn bad_structure(e: impl std::fmt::Display) -> WireError {
+            WireError::Invalid(format!("artifact structure: {e}"))
+        }
+        let mut structure = || {
+            let (indptr, indices) = (r.usizes32()?, r.u32s()?);
+            let zeros = vec![0.0; indices.len()];
+            Csr::try_new(n, n, indptr, indices, zeros).map_err(bad_structure)
+        };
+        let (l, u) = (structure()?, structure()?);
+        // The graphs were not encoded; construction is deterministic, so
+        // the rebuilt graphs are identical to the ones the schedules were
+        // computed from.
+        let (g_l, g_u) = dependence_graphs(&l, &u).map_err(bad_structure)?;
         let bad_plan = |what: &'static str| {
             move |e: rtpl_inspector::InspectorError| {
                 WireError::Invalid(format!("artifact {what} plan: {e}"))
             }
         };
-        // Rebuild the dependence graphs from the (just validated) factor
-        // structure — they were not encoded; construction is deterministic,
-        // so the rebuilt graphs are identical to the ones the schedules
-        // were computed from.
-        let g_l = DepGraph::from_lower_triangular(&l).map_err(bad_plan("forward"))?;
         let s_l = Schedule::decode(&mut r)?;
         let b_l = BarrierPlan::decode(&mut r)?;
         let plan_l = PlannedLoop::from_parts(g_l, s_l, b_l).map_err(bad_plan("forward"))?;
-        let g_u = DepGraph::from_upper_triangular(&u).map_err(bad_plan("backward"))?;
         let s_u = Schedule::decode(&mut r)?;
         let b_u = BarrierPlan::decode(&mut r)?;
         let plan_u = PlannedLoop::from_parts(g_u, s_u, b_u).map_err(bad_plan("backward"))?;
@@ -882,50 +679,10 @@ impl CompiledTriSolve {
                 "compiled layout value counts disagree with factor structure".into(),
             ));
         }
-        // The same hoisting pass TriangularSolvePlan::new runs — strict-upper
-        // filter, per-call gather map, diagonal positions — but leaning on
-        // the row-sortedness `Csr::try_new` just proved: one partition point
-        // splits each row into sub-diagonal | diagonal | strict upper, and
-        // the strict part copies over in bulk instead of element-by-element.
-        // Every row of U must carry its diagonal or the per-call inversion
-        // would read a stranger's coefficient.
-        let cap = u.nnz().saturating_sub(n);
-        let mut us_indptr = Vec::with_capacity(n + 1);
-        us_indptr.push(0usize);
-        let mut us_indices = Vec::with_capacity(cap);
-        let mut u_strict_src = Vec::with_capacity(cap);
-        let mut udiag_pos = vec![0u32; n];
-        for i in 0..n {
-            let lo = u.indptr()[i];
-            let row = u.row_indices(i);
-            let split = row.partition_point(|&j| (j as usize) < i);
-            if row.get(split) != Some(&(i as u32)) {
-                return Err(WireError::Invalid(format!(
-                    "artifact U row {i} stores no diagonal"
-                )));
-            }
-            udiag_pos[i] = (lo + split) as u32;
-            let strict = &row[split + 1..];
-            us_indices.extend_from_slice(strict);
-            let first = (lo + split + 1) as u32;
-            u_strict_src.extend(first..first + strict.len() as u32);
-            us_indptr.push(us_indices.len());
-        }
-        let us_vals = vec![0.0; us_indices.len()];
-        // Sound without re-validation: the indptr is monotone by
-        // construction and every row is a tail of a strictly increasing,
-        // bounds-checked row of `u`.
-        let u_strict = Csr::new_unchecked(n, n, us_indptr, us_indices, us_vals);
         let plan = TriangularSolvePlan {
             n,
-            l,
-            u,
-            u_strict,
-            u_strict_src,
-            udiag_pos,
-            // Placeholder: per-call paths recompute the inverse diagonal
-            // from the caller's values; this array is never read by them.
-            udiag_inv: vec![1.0; n],
+            l: Pattern::of(&l),
+            u: Pattern::of(&u),
             plan_l,
             plan_u,
             kind,
@@ -975,6 +732,30 @@ mod tests {
         x
     }
 
+    /// The bit-exact oracle: the naive substitution loop in natural row
+    /// order and CSR operand order, scaling by the diagonal's reciprocal as
+    /// the compiled layout does. Shares no code with inspector or executor.
+    fn naive_solve(f: &IluFactors, b: &[f64]) -> Vec<f64> {
+        let n = f.n();
+        let mut y = vec![0.0; n];
+        for i in 0..n {
+            y[i] = f.l.row(i).fold(b[i], |acc, (j, v)| acc - v * y[j]);
+        }
+        let mut x = vec![0.0; n];
+        for i in (0..n).rev() {
+            let (mut acc, mut d) = (y[i], 0.0);
+            for (j, v) in f.u.row(i) {
+                if j == i {
+                    d = v;
+                } else {
+                    acc -= v * x[j];
+                }
+            }
+            x[i] = acc * (1.0 / d);
+        }
+        x
+    }
+
     #[test]
     fn all_executors_match_reference() {
         let a = laplacian_5pt(9, 7);
@@ -996,10 +777,14 @@ mod tests {
                 Sorting::LocalStriped,
                 Sorting::LocalContiguous,
             ] {
-                let plan = TriangularSolvePlan::new(&f, nprocs, kind, sorting).unwrap();
+                let compiled = TriangularSolvePlan::new(&f, nprocs, kind, sorting)
+                    .unwrap()
+                    .compile()
+                    .unwrap();
                 let mut x = vec![0.0; n];
-                let mut work = vec![0.0; n];
-                plan.solve(&pool, &b, &mut x, &mut work);
+                compiled
+                    .solve(Some(&pool), kind, &f, &b, &mut x, &mut compiled.scratch())
+                    .unwrap();
                 assert!(
                     max_abs_diff(&x, &expect) < 1e-12,
                     "{kind:?}/{sorting:?} deviates"
@@ -1020,37 +805,87 @@ mod tests {
     }
 
     #[test]
-    fn zero_pivot_rejected_at_plan_time() {
+    fn zero_pivot_is_reported_per_solve_not_at_plan_time() {
         use rtpl_sparse::CooBuilder;
-        let mut bld = CooBuilder::new(2, 2);
-        bld.push(0, 0, 1.0);
-        bld.push(1, 1, 0.0);
-        let u = bld.build();
-        let f = IluFactors {
-            l: Csr::try_new(2, 2, vec![0, 0, 0], vec![], vec![]).unwrap(),
-            u,
+        let u_with = |d1: f64| {
+            let mut bld = CooBuilder::new(2, 2);
+            bld.push(0, 0, 1.0);
+            bld.push(1, 1, d1);
+            bld.build()
         };
-        assert!(matches!(
-            TriangularSolvePlan::new(&f, 2, ExecutorKind::Sequential, Sorting::Global),
-            Err(KrylovError::Sparse(rtpl_sparse::SparseError::ZeroPivot {
-                row: 1
-            }))
-        ));
+        let l = Csr::try_new(2, 2, vec![0, 0, 0], vec![], vec![]).unwrap();
+        let bad = IluFactors {
+            l: l.clone(),
+            u: u_with(0.0),
+        };
+        // The plan is a function of structure: singular values build it.
+        let compiled = TriangularSolvePlan::new(&bad, 2, ExecutorKind::Sequential, Sorting::Global)
+            .unwrap()
+            .compile()
+            .unwrap();
+        let zero_pivot = |r: Result<()>| {
+            assert_eq!(r, Err(SparseError::ZeroPivot { row: 1 }.into()));
+        };
+        let mut scratch = compiled.scratch();
+        let b = [3.0, 4.0];
+        let mut x = [-7.0; 2];
+        zero_pivot(compiled.load_values(&bad, &mut scratch));
+        let solved = compiled.solve(
+            None,
+            ExecutorKind::Sequential,
+            &bad,
+            &b,
+            &mut x,
+            &mut scratch,
+        );
+        zero_pivot(solved.map(|_| ()));
+        let fused = compiled.solve_fused_sequential(&bad, &b, &mut x, &mut scratch);
+        zero_pivot(fused.map(|_| ()));
+        assert_eq!(x, [-7.0; 2], "a zero pivot leaves x unwritten");
+        // Good values on the same compiled plan then solve.
+        let good = IluFactors { l, u: u_with(2.0) };
+        compiled
+            .solve(
+                None,
+                ExecutorKind::Sequential,
+                &good,
+                &b,
+                &mut x,
+                &mut scratch,
+            )
+            .unwrap();
+        assert_eq!(x, [3.0, 2.0]);
+        compiled
+            .solve_fused_sequential(&good, &b, &mut x, &mut scratch)
+            .unwrap();
+        assert_eq!(x, [3.0, 2.0]);
     }
 
     #[test]
     fn plan_is_reusable_across_right_hand_sides() {
         let a = laplacian_5pt(5, 5);
         let f = ilu0(&a).unwrap();
-        let plan =
-            TriangularSolvePlan::new(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
+        let compiled =
+            TriangularSolvePlan::new(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global)
+                .unwrap()
+                .compile()
+                .unwrap();
         let pool = WorkerPool::new(2);
+        let mut scratch = compiled.scratch();
         for seed in 0..4 {
             let b: Vec<f64> = (0..25).map(|i| ((i + seed) as f64).cos()).collect();
             let expect = reference_solve(&f, &b);
             let mut x = vec![0.0; 25];
-            let mut work = vec![0.0; 25];
-            plan.solve(&pool, &b, &mut x, &mut work);
+            compiled
+                .solve(
+                    Some(&pool),
+                    ExecutorKind::SelfExecuting,
+                    &f,
+                    &b,
+                    &mut x,
+                    &mut scratch,
+                )
+                .unwrap();
             assert!(max_abs_diff(&x, &expect) < 1e-12);
         }
     }
@@ -1062,8 +897,10 @@ mod tests {
         // reference for the new values, under every discipline.
         let a = laplacian_5pt(7, 6);
         let f_old = ilu0(&a).unwrap();
-        let plan =
-            TriangularSolvePlan::new(&f_old, 3, ExecutorKind::Sequential, Sorting::Global).unwrap();
+        let plan = TriangularSolvePlan::new(&f_old, 3, ExecutorKind::Sequential, Sorting::Global)
+            .unwrap()
+            .compile()
+            .unwrap();
         // New values: scale the matrix, refactor — same pattern, new numbers.
         let mut a2 = a.clone();
         for (k, v) in a2.data_mut().iter_mut().enumerate() {
@@ -1076,9 +913,9 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
         let expect = reference_solve(&f_new, &b);
         let pool = WorkerPool::new(3);
-        let mut scratch = SolveScratch::new(n);
+        let mut scratch = plan.scratch();
         let mut seq = vec![0.0; n];
-        plan.solve_with(
+        plan.solve(
             None,
             ExecutorKind::Sequential,
             &f_new,
@@ -1096,7 +933,7 @@ mod tests {
         ] {
             let mut x = vec![0.0; n];
             let (fwd, bwd) = plan
-                .solve_with(Some(&pool), kind, &f_new, &b, &mut x, &mut scratch)
+                .solve(Some(&pool), kind, &f_new, &b, &mut x, &mut scratch)
                 .unwrap();
             // Bit-exact across disciplines: every executor performs the
             // identical per-row arithmetic.
@@ -1110,15 +947,17 @@ mod tests {
     fn solve_with_rejects_mismatched_pattern() {
         let f_a = ilu0(&laplacian_5pt(5, 5)).unwrap();
         let f_b = ilu0(&laplacian_5pt(6, 5)).unwrap();
-        let plan =
-            TriangularSolvePlan::new(&f_a, 2, ExecutorKind::Sequential, Sorting::Global).unwrap();
+        let plan = TriangularSolvePlan::new(&f_a, 2, ExecutorKind::Sequential, Sorting::Global)
+            .unwrap()
+            .compile()
+            .unwrap();
         let pool = WorkerPool::new(2);
         let n_b = f_b.n();
         let b = vec![1.0; n_b];
         let mut x = vec![0.0; n_b];
-        let mut scratch = SolveScratch::new(n_b);
+        let mut scratch = plan.scratch();
         assert!(matches!(
-            plan.solve_with(
+            plan.solve(
                 Some(&pool),
                 ExecutorKind::Sequential,
                 &f_b,
@@ -1130,41 +969,23 @@ mod tests {
         ));
     }
 
+    /// Every kind × processor count against the naive loop, bit for bit.
     #[test]
     fn compiled_solve_is_bit_exact_with_fallback_for_every_kind() {
         let a = laplacian_5pt(8, 7);
         let f = ilu0(&a).unwrap();
         let n = f.n();
         let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.21).sin()).collect();
+        let reference = naive_solve(&f, &b);
         for nprocs in [1usize, 2, 4] {
-            let plan =
-                TriangularSolvePlan::new(&f, nprocs, ExecutorKind::Sequential, Sorting::Global)
-                    .unwrap();
             let compiled =
                 TriangularSolvePlan::new(&f, nprocs, ExecutorKind::Sequential, Sorting::Global)
                     .unwrap()
                     .compile()
                     .unwrap();
             let pool = WorkerPool::new(nprocs);
-            let mut fb_scratch = SolveScratch::new(n);
             let mut c_scratch = compiled.scratch();
-            let mut reference = vec![0.0; n];
-            plan.solve_with(
-                None,
-                ExecutorKind::Sequential,
-                &f,
-                &b,
-                &mut reference,
-                &mut fb_scratch,
-            )
-            .unwrap();
-            for kind in [
-                ExecutorKind::Sequential,
-                ExecutorKind::Doacross,
-                ExecutorKind::PreScheduled,
-                ExecutorKind::PreScheduledElided,
-                ExecutorKind::SelfExecuting,
-            ] {
+            for kind in ExecutorKind::ALL {
                 let mut x = vec![0.0; n];
                 let (fwd, bwd) = compiled
                     .solve(Some(&pool), kind, &f, &b, &mut x, &mut c_scratch)
@@ -1172,11 +993,6 @@ mod tests {
                 assert_eq!(x, reference, "{kind:?}/{nprocs} compiled deviates");
                 assert_eq!(fwd.total_iters() as usize, n);
                 assert_eq!(bwd.total_iters() as usize, n);
-                // The uncompiled path under the same kind must agree too.
-                let mut fb = vec![0.0; n];
-                plan.solve_with(Some(&pool), kind, &f, &b, &mut fb, &mut fb_scratch)
-                    .unwrap();
-                assert_eq!(fb, reference, "{kind:?}/{nprocs} fallback deviates");
             }
         }
     }
@@ -1344,11 +1160,16 @@ mod tests {
         let n = f.n();
         let b = vec![1.0; n];
         let pool = WorkerPool::new(2);
-        let plan =
-            TriangularSolvePlan::new(&f, 2, ExecutorKind::PreScheduled, Sorting::Global).unwrap();
+        let kind = ExecutorKind::PreScheduled;
+        let compiled = TriangularSolvePlan::new(&f, 2, kind, Sorting::Global)
+            .unwrap()
+            .compile()
+            .unwrap();
         let mut x = vec![0.0; n];
-        let mut work = vec![0.0; n];
-        let (fwd, bwd) = plan.solve_reporting(&pool, &b, &mut x, &mut work);
+        let (fwd, bwd) = compiled
+            .solve(Some(&pool), kind, &f, &b, &mut x, &mut compiled.scratch())
+            .unwrap();
+        let plan = compiled.plan();
         assert_eq!(fwd.barriers as usize, plan.num_phases().0 - 1);
         assert_eq!(bwd.barriers as usize, plan.num_phases().1 - 1);
         assert_eq!(fwd.stalls, 0);

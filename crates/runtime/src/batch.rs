@@ -88,14 +88,14 @@ impl LoopSpec {
     }
 }
 
-/// The placeholder body type of batches that carry no [`JobKind::Loop`] jobs
+/// The stand-in body type of batches that carry no [`JobKind::Loop`] jobs
 /// (`Vec<Job>` defaults to it). Never executed.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoBody;
 
 impl LoopBody for NoBody {
     fn eval<S: ValueSource>(&self, _i: usize, _src: &S) -> f64 {
-        unreachable!("NoBody is a type-level placeholder; no job carries it")
+        unreachable!("NoBody only fills the type parameter; no job carries it")
     }
 }
 
@@ -468,19 +468,13 @@ impl Runtime {
         });
         let slot = match slot {
             Ok(s) => s,
-            Err(e) if lone => return self.finish_job(key, first.0, Err(e), sink),
-            // A solve plan build reads *values* too (the zero-pivot check
-            // and `U`'s diagonal inversion happen at plan time), so one
-            // value-poisoned job must not sink its same-pattern peers:
-            // re-run each job as its own group of one, which retries the
-            // build with that job's own factors (failed builds are
-            // un-cached and retriable). Amortization is lost only on this
-            // error path.
-            Err(_) => {
-                for job in std::iter::once(first).chain(rest) {
-                    self.run_solve_group(key, std::iter::once(job), sink);
-                }
-                return;
+            // Solve plans are built from the factors' *structure* alone —
+            // what the group was keyed on — so a build failure is
+            // identical for every job of the group.
+            Err(e) => {
+                return std::iter::once(first)
+                    .chain(rest)
+                    .for_each(|(i, _)| self.finish_job(key, i, Err(e.clone()), sink))
             }
         };
         let entry = slot.get();

@@ -211,12 +211,12 @@ impl AdaptiveState {
     /// The policy to use for the next run.
     ///
     /// Exploration phase: any arm never yet measured whose prior is within
-    /// [`EXPLORE_FACTOR`] of the best prior gets one run (in prior order,
+    /// `EXPLORE_FACTOR` of the best prior gets one run (in prior order,
     /// best first). Steady state: the arm with the smallest **measured**
-    /// mean — except that every [`REEXPLORE_EVERY`]-th run re-examines the
-    /// non-incumbent arm with the lowest [confidence bound](Self::lower_bound),
+    /// mean — except that every `REEXPLORE_EVERY`-th run re-examines the
+    /// non-incumbent arm with the lowest confidence bound (`lower_bound`),
     /// if that bound undercuts the incumbent's estimate **and** the arm's
-    /// measured mean is within [`CHALLENGE_CAP`]× of the incumbent's (a
+    /// measured mean is within `CHALLENGE_CAP`× of the incumbent's (a
     /// catastrophically wrong policy is never re-paid, however stale its
     /// estimate). A policy dethroned by transient load goes stale, its
     /// bound decays toward zero, and it gets periodic chances to win back

@@ -569,6 +569,14 @@ impl Runtime {
             .fetch_add(supernodes as u64, Ordering::Relaxed);
     }
 
+    /// The selector's prior for one solve plan: the predicted cost of each
+    /// arm over both sweeps.
+    fn solve_prior(&self, plan: &TriangularSolvePlan) -> [f64; 5] {
+        let pl = self.selector.predict(plan.plan_l());
+        let pu = self.selector.predict(plan.plan_u());
+        std::array::from_fn(|k| pl[k] + pu[k])
+    }
+
     /// The genuinely cold path: inspects, predicts, and compiles.
     fn inspect_solve_entry(&self, factors: &IluFactors) -> Result<SolveEntry> {
         let plan = TriangularSolvePlan::new_with_grain(
@@ -578,12 +586,7 @@ impl Runtime {
             self.cfg.sorting,
             self.coalesce_grain(),
         )?;
-        let pl = self.selector.predict(plan.plan_l());
-        let pu = self.selector.predict(plan.plan_u());
-        let mut prior = [0.0; 5];
-        for k in 0..ARMS.len() {
-            prior[k] = pl[k] + pu[k];
-        }
+        let prior = self.solve_prior(&plan);
         let compiled = plan.compile()?;
         if VERIFY_FRESH_PLANS {
             self.verify_or_reject(rtpl_verify::verify_tri_solve(&compiled))?;
@@ -735,13 +738,7 @@ impl Runtime {
         let prior = if same_context && stored_prior.iter().any(|p| p.is_finite()) {
             stored_prior
         } else {
-            let pl = self.selector.predict(compiled.plan().plan_l());
-            let pu = self.selector.predict(compiled.plan().plan_u());
-            let mut prior = [0.0; 5];
-            for k in 0..ARMS.len() {
-                prior[k] = pl[k] + pu[k];
-            }
-            prior
+            self.solve_prior(compiled.plan())
         };
         self.note_solve_plan(&compiled);
         Ok(SolveEntry {
@@ -982,9 +979,11 @@ impl Precondition for CachedIlu<'_> {
         // The runtime leases its own pools (sized to its plans); the
         // solver's pool keeps doing the doall kernels. Applications enter
         // through the unified Job front door, like every other request.
-        // PANIC: `Precondition::apply` has no error channel; the factors
-        // were accepted when this preconditioner was built, so a failure
-        // here is unrecoverable mid-iteration.
+        // PANIC: `Precondition::apply` has no error channel, and nothing
+        // guarantees this `expect` — `Runtime::preconditioner` validates
+        // nothing. Non-triangular structure, a zero on `U`'s diagonal, or
+        // an open circuit all panic mid-iteration; to get the typed error
+        // instead, submit one `Job::solve` over the factors first.
         self.runtime
             .submit(crate::Job::<crate::NoBody>::solve(self.factors, r, z))
             .expect("cached ILU application failed");
@@ -1242,7 +1241,7 @@ mod tests {
 
     #[test]
     fn cached_preconditioner_drives_cg_through_the_cache() {
-        use rtpl_krylov::{cg, KrylovConfig, Preconditioner, TriangularSolvePlan};
+        use rtpl_krylov::{cg, KrylovConfig, Preconditioner};
         let a = laplacian_5pt(14, 14);
         let n = a.nrows();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.07).cos()).collect();
@@ -1251,10 +1250,10 @@ mod tests {
         let f = ilu0(&a).unwrap();
 
         // Reference: the classic in-crate ILU preconditioner.
-        let plan =
-            TriangularSolvePlan::new(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
+        let m_ref =
+            Preconditioner::ilu(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
         let mut x_ref = vec![0.0; n];
-        let s_ref = cg(&pool, &a, &b, &mut x_ref, &Preconditioner::Ilu(plan), &cfg).unwrap();
+        let s_ref = cg(&pool, &a, &b, &mut x_ref, &m_ref, &cfg).unwrap();
 
         // Same solve, applications routed through the runtime cache.
         let rt = Runtime::new(RuntimeConfig {

@@ -141,7 +141,7 @@ pub fn sim_self_executing(
     SimOutcome { time, nprocs, busy }
 }
 
-/// Pre-scheduled execution with **barrier elision** (Nicol & Saltz [13]
+/// Pre-scheduled execution with **barrier elision** (Nicol & Saltz \[13\]
 /// tradeoff): between two kept barriers each processor runs its phases
 /// back-to-back, so a segment costs the *maximum over processors of their
 /// summed segment work* plus one `Tsynch` per kept barrier. The plan must

@@ -1,6 +1,6 @@
 //! Matrix orderings and symmetric permutations.
 //!
-//! The paper's related work (§3) surveys "numerical methods ... [that]
+//! The paper's related work (§3) surveys "numerical methods ... \[that\]
 //! reorder operations to increase available parallelism" — the ordering of
 //! the unknowns decides the shape of the dependence DAG, hence the
 //! wavefront structure the inspector discovers. This module provides:

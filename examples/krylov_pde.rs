@@ -8,9 +8,7 @@
 //! Run with: `cargo run --release --example krylov_pde`
 
 use rtpl::krylov::factor::{parallel_iluk, FactorSync};
-use rtpl::krylov::{
-    gmres, ExecutorKind, KrylovConfig, Preconditioner, Sorting, TriangularSolvePlan,
-};
+use rtpl::krylov::{gmres, ExecutorKind, KrylovConfig, Preconditioner, Sorting};
 use rtpl::prelude::*;
 use rtpl::workload::{ProblemId, TestProblem};
 use std::time::Instant;
@@ -33,16 +31,13 @@ fn main() {
         nprocs
     );
 
-    // Inspector once, reused every iteration.
+    // Inspect + compile + gather once, reused every iteration.
     let t0 = Instant::now();
-    let plan =
-        TriangularSolvePlan::new(&f, nprocs, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
-    let (ph_l, ph_u) = plan.num_phases();
+    let m = Preconditioner::ilu(&f, nprocs, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
     println!(
-        "inspector (wavefronts + schedules): {:.1} ms; phases fwd {ph_l} / bwd {ph_u}",
+        "inspector (wavefronts + schedules + compile): {:.1} ms",
         t0.elapsed().as_secs_f64() * 1e3
     );
-    let m = Preconditioner::Ilu(plan);
 
     // Manufactured solution: x* known, b = A x*.
     let x_true: Vec<f64> = (0..n).map(|i| ((i % 17) as f64 - 8.0) * 0.1).collect();

@@ -14,9 +14,7 @@
 
 use rtpl::executor::WorkerPool;
 use rtpl::inspector::{DepGraph, Schedule, Wavefronts};
-use rtpl::krylov::{
-    gmres, ExecutorKind, KrylovConfig, Preconditioner, Sorting, TriangularSolvePlan,
-};
+use rtpl::krylov::{gmres, ExecutorKind, KrylovConfig, Preconditioner, Sorting};
 use rtpl::sim::{self, CostModel};
 use rtpl::sparse::gen::laplacian_5pt;
 use rtpl::sparse::ordering::{bandwidth, red_black, reverse_cuthill_mckee, Permutation};
@@ -37,9 +35,7 @@ fn analyze(label: &str, a: &Csr) {
 
     // Preconditioner quality: GMRES iterations on a fixed right-hand side.
     let pool = WorkerPool::new(2);
-    let plan =
-        TriangularSolvePlan::new(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
-    let m = Preconditioner::Ilu(plan);
+    let m = Preconditioner::ilu(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.03).sin()).collect();
     let mut x = vec![0.0; n];
     let stats = gmres(

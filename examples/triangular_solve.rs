@@ -23,20 +23,25 @@ fn main() {
     let f = ilu0(a).expect("ILU(0)");
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.01).sin()).collect();
 
-    // Reference sequential solve.
-    let plan_seq =
-        TriangularSolvePlan::new(&f, 1, ExecutorKind::Sequential, Sorting::Global).unwrap();
-    let pool1 = WorkerPool::new(1);
+    // Reference sequential solve: inspect and compile the structure once,
+    // gather the factor values once, then sweep per right-hand side.
+    let solve_seq = TriangularSolvePlan::new(&f, 1, ExecutorKind::Sequential, Sorting::Global)
+        .unwrap()
+        .compile()
+        .unwrap();
+    let mut scratch = solve_seq.scratch();
+    solve_seq.load_values(&f, &mut scratch).unwrap();
     let mut x_ref = vec![0.0; n];
-    let mut work = vec![0.0; n];
     let t0 = Instant::now();
     let reps = 20;
     for _ in 0..reps {
-        plan_seq.solve(&pool1, &b, &mut x_ref, &mut work);
+        solve_seq
+            .solve_loaded(None, ExecutorKind::Sequential, &b, &mut x_ref, &mut scratch)
+            .unwrap();
     }
     let t_seq = t0.elapsed().as_secs_f64() / reps as f64;
     println!("sequential LU solve: {:.3} ms", t_seq * 1e3);
-    let (ph_l, ph_u) = plan_seq.num_phases();
+    let (ph_l, ph_u) = solve_seq.plan().num_phases();
     println!("phases: forward {ph_l}, backward {ph_u}");
 
     // Host executors (thread count limited by this machine).
@@ -48,11 +53,18 @@ fn main() {
         ExecutorKind::PreScheduled,
         ExecutorKind::SelfExecuting,
     ] {
-        let plan = TriangularSolvePlan::new(&f, nprocs, kind, Sorting::Global).unwrap();
+        let solve = TriangularSolvePlan::new(&f, nprocs, kind, Sorting::Global)
+            .unwrap()
+            .compile()
+            .unwrap();
+        let mut scratch = solve.scratch();
+        solve.load_values(&f, &mut scratch).unwrap();
         let mut x = vec![0.0; n];
         let t0 = Instant::now();
         for _ in 0..reps {
-            plan.solve(&pool, &b, &mut x, &mut work);
+            solve
+                .solve_loaded(Some(&pool), kind, &b, &mut x, &mut scratch)
+                .unwrap();
         }
         let dt = t0.elapsed().as_secs_f64() / reps as f64;
         let err = x
@@ -73,8 +85,8 @@ fn main() {
     let g = DepGraph::from_lower_triangular(&f.l).unwrap();
     let cost = CostModel::multimax();
     let seq = sim::sim_sequential(n, Some(&weights), &cost);
-    let se = sim::sim_self_executing(plan16.schedule_l(), &g, Some(&weights), &cost);
-    let ps = sim::sim_pre_scheduled(plan16.schedule_l(), Some(&weights), &cost);
+    let se = sim::sim_self_executing(plan16.plan_l().schedule(), &g, Some(&weights), &cost);
+    let ps = sim::sim_pre_scheduled(plan16.plan_l().schedule(), Some(&weights), &cost);
     let da = sim::sim_doacross(&g, p16, Some(&weights), &cost);
     println!("forward solve, sequential time   : {seq:>10.0} units");
     println!(

@@ -1,10 +1,13 @@
 //! Acceptance tests for the compiled execution layout (PR 3 tentpole):
-//! bit-exactness of `CompiledTriSolve` against both the uncompiled
-//! `PlannedLoop`-based path and the sequential reference, over random DAGs
-//! × every `ExecPolicy` arm × 1/2/4 processors.
+//! bit-exactness of `CompiledTriSolve` — the only triangular solver —
+//! against a naive substitution loop kept here as test support, over
+//! random DAGs × every `ExecPolicy` arm × 1/2/4 processors. (The
+//! cross-generation check, `CompiledPlan` against `PlannedLoop` +
+//! `LoopBody`, lives beside both in `rtpl-executor`:
+//! `compiled::tests::compiled_matches_planned_loop_all_policies`.)
 
 use rtpl::executor::WorkerPool;
-use rtpl::krylov::{CompiledTriSolve, ExecutorKind, SolveScratch, Sorting, TriangularSolvePlan};
+use rtpl::krylov::{CompiledTriSolve, ExecutorKind, Sorting, TriangularSolvePlan};
 use rtpl::sparse::gen::random_lower;
 use rtpl::sparse::ilu::IluFactors;
 use rtpl::sparse::Csr;
@@ -17,6 +20,31 @@ fn factors_from_pattern(m: &Csr) -> IluFactors {
         l: m.strict_lower(),
         u: m.transpose().upper(),
     }
+}
+
+/// The bit-exact oracle: `L U x = b` by the naive substitution loop —
+/// natural row order, CSR operand order, the diagonal's reciprocal as a
+/// multiply (what the compiled layout bakes in). Shares no code with the
+/// inspector or the executor.
+fn naive_solve(f: &IluFactors, b: &[f64]) -> Vec<f64> {
+    let n = f.n();
+    let mut y = vec![0.0; n];
+    for i in 0..n {
+        y[i] = f.l.row(i).fold(b[i], |acc, (j, v)| acc - v * y[j]);
+    }
+    let mut x = vec![0.0; n];
+    for i in (0..n).rev() {
+        let (mut acc, mut d) = (y[i], 0.0);
+        for (j, v) in f.u.row(i) {
+            if j == i {
+                d = v;
+            } else {
+                acc -= v * x[j];
+            }
+        }
+        x[i] = acc * (1.0 / d);
+    }
+    x
 }
 
 fn compiled_for(factors: &IluFactors, nprocs: usize, sorting: Sorting) -> CompiledTriSolve {
@@ -36,8 +64,7 @@ const ALL_KINDS: [ExecutorKind; 5] = [
 
 /// The headline sweep: random DAGs × all four parallel policy arms (plus
 /// the sequential kind) × 1/2/4 procs × all three sorting disciplines,
-/// compiled vs `PlannedLoop` fallback vs sequential reference — all three
-/// paths must agree **bit-exactly**.
+/// every compiled solve against the naive loop — **bit-exactly**.
 #[test]
 fn compiled_matches_fallback_and_reference_over_random_dags() {
     for (seed, n, deg) in [(101u64, 160usize, 4usize), (202, 240, 6), (303, 96, 3)] {
@@ -46,37 +73,16 @@ fn compiled_matches_fallback_and_reference_over_random_dags() {
         let b: Vec<f64> = (0..n)
             .map(|i| 1.0 + ((i * 29 + seed as usize) % 97) as f64 * 0.021)
             .collect();
-        // Sequential reference from the uncompiled path.
-        let reference = {
-            let plan =
-                TriangularSolvePlan::new(&factors, 1, ExecutorKind::Sequential, Sorting::Global)
-                    .unwrap();
-            let mut x = vec![0.0; n];
-            let mut scratch = SolveScratch::new(n);
-            plan.solve_with(
-                None,
-                ExecutorKind::Sequential,
-                &factors,
-                &b,
-                &mut x,
-                &mut scratch,
-            )
-            .unwrap();
-            x
-        };
+        let reference = naive_solve(&factors, &b);
         for sorting in [
             Sorting::Global,
             Sorting::LocalStriped,
             Sorting::LocalContiguous,
         ] {
             for nprocs in [1usize, 2, 4] {
-                let plan =
-                    TriangularSolvePlan::new(&factors, nprocs, ExecutorKind::Sequential, sorting)
-                        .unwrap();
                 let compiled = compiled_for(&factors, nprocs, sorting);
                 let pool = WorkerPool::new(nprocs);
                 let mut c_scratch = compiled.scratch();
-                let mut f_scratch = SolveScratch::new(n);
                 for kind in ALL_KINDS {
                     let mut x_c = vec![0.0; n];
                     compiled
@@ -85,13 +91,6 @@ fn compiled_matches_fallback_and_reference_over_random_dags() {
                     assert_eq!(
                         x_c, reference,
                         "seed {seed} {sorting:?}/{nprocs}/{kind:?}: compiled deviates"
-                    );
-                    let mut x_f = vec![0.0; n];
-                    plan.solve_with(Some(&pool), kind, &factors, &b, &mut x_f, &mut f_scratch)
-                        .unwrap();
-                    assert_eq!(
-                        x_f, reference,
-                        "seed {seed} {sorting:?}/{nprocs}/{kind:?}: fallback deviates"
                     );
                 }
             }
@@ -186,19 +185,7 @@ fn compiled_value_refresh_is_bit_exact_with_fallback() {
     }
     let f2 = IluFactors { l: l2, u: u2 };
     let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).cos()).collect();
-    let plan =
-        TriangularSolvePlan::new(&factors, 2, ExecutorKind::Sequential, Sorting::Global).unwrap();
-    let mut f_scratch = SolveScratch::new(n);
-    let mut expect = vec![0.0; n];
-    plan.solve_with(
-        None,
-        ExecutorKind::Sequential,
-        &f2,
-        &b,
-        &mut expect,
-        &mut f_scratch,
-    )
-    .unwrap();
+    let expect = naive_solve(&f2, &b);
     for kind in ALL_KINDS {
         let mut x = vec![0.0; n];
         compiled
@@ -220,23 +207,7 @@ fn fused_sequential_matches_split_and_reference_over_random_dags() {
         let b: Vec<f64> = (0..n)
             .map(|i| 0.5 + ((i * 31 + seed as usize) % 89) as f64 * 0.013)
             .collect();
-        let reference = {
-            let plan =
-                TriangularSolvePlan::new(&factors, 1, ExecutorKind::Sequential, Sorting::Global)
-                    .unwrap();
-            let mut x = vec![0.0; n];
-            let mut scratch = SolveScratch::new(n);
-            plan.solve_with(
-                None,
-                ExecutorKind::Sequential,
-                &factors,
-                &b,
-                &mut x,
-                &mut scratch,
-            )
-            .unwrap();
-            x
-        };
+        let reference = naive_solve(&factors, &b);
         for nprocs in [1usize, 2, 4] {
             let compiled = compiled_for(&factors, nprocs, Sorting::Global);
             // Split path: explicit load, then run.

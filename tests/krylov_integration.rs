@@ -40,9 +40,7 @@ fn gmres_ilu_converges_on_spe4_with_parallel_solves() {
     let nprocs = 2;
     let pool = WorkerPool::new(nprocs);
     let f = parallel_iluk(&pool, a, 0, FactorSync::SelfExecuting).unwrap();
-    let plan =
-        TriangularSolvePlan::new(&f, nprocs, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
-    let m = Preconditioner::Ilu(plan);
+    let m = Preconditioner::ilu(&f, nprocs, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
     let b: Vec<f64> = (0..n).map(|i| ((i % 11) as f64) - 5.0).collect();
     let mut x = vec![0.0; n];
     let cfg = KrylovConfig {
@@ -83,8 +81,7 @@ fn executor_choice_does_not_change_convergence() {
     ] {
         let nprocs = 2;
         let pool = WorkerPool::new(nprocs);
-        let plan = TriangularSolvePlan::new(&f, nprocs, kind, Sorting::LocalStriped).unwrap();
-        let m = Preconditioner::Ilu(plan);
+        let m = Preconditioner::ilu(&f, nprocs, kind, Sorting::LocalStriped).unwrap();
         let mut x = vec![0.0; n];
         let stats = gmres(&pool, &a, &b, &mut x, &m, &cfg).unwrap();
         assert!(stats.converged, "{kind:?}: {stats:?}");
@@ -108,9 +105,7 @@ fn higher_fill_level_reduces_iterations() {
     let mut iter_counts = Vec::new();
     for level in [0usize, 1, 2] {
         let f = iluk(&a, level).unwrap();
-        let plan =
-            TriangularSolvePlan::new(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
-        let m = Preconditioner::Ilu(plan);
+        let m = Preconditioner::ilu(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
         let mut x = vec![0.0; n];
         let stats = cg(&pool, &a, &b, &mut x, &m, &cfg).unwrap();
         assert!(stats.converged);
@@ -143,14 +138,19 @@ fn amortization_many_solves_one_inspection() {
     let f = iluk(&a, 0).unwrap();
     let nprocs = 2;
     let pool = WorkerPool::new(nprocs);
-    let plan =
-        TriangularSolvePlan::new(&f, nprocs, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
+    let kind = ExecutorKind::SelfExecuting;
+    let solve = TriangularSolvePlan::new(&f, nprocs, kind, Sorting::Global)
+        .unwrap()
+        .compile()
+        .unwrap();
     let n = a.nrows();
-    let mut work = vec![0.0; n];
+    let mut scratch = solve.scratch();
     for s in 0..10 {
         let b: Vec<f64> = (0..n).map(|i| ((i + s) as f64 * 0.07).sin()).collect();
         let mut x = vec![0.0; n];
-        plan.solve(&pool, &b, &mut x, &mut work);
+        solve
+            .solve(Some(&pool), kind, &f, &b, &mut x, &mut scratch)
+            .unwrap();
         // L U x == b exactly (triangular solves are direct).
         let lu = f.to_dense_product();
         let r = lu.matvec(&x);

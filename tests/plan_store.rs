@@ -479,3 +479,50 @@ fn verifier_refuses_a_store_artifact_with_dropped_barriers() {
     assert_eq!(bits(&reference), bits(&x), "answer deviates after fallback");
     let _ = std::fs::remove_file(&path);
 }
+
+/// The on-disk plan format, pinned: `tests/corpus/tri_solve_v2.artifact`
+/// is `encode_artifact` of mesh 6×5 ILU(0), 2 processors, global sort,
+/// grain 12 (10 → 5 phases per sweep), written by the commit before plans
+/// became values-free. It must decode, verify, and solve bit-exactly under
+/// every kind, and both the decoded plan and a fresh inspection of the
+/// pattern must re-encode to the file byte for byte — a store written by
+/// any `ARTIFACT_VERSION` 2 build stays readable. Changing the format
+/// means bumping the version and regenerating the file on purpose.
+#[test]
+fn golden_v2_artifact_decodes_verifies_solves_and_reencodes() {
+    use rtpl::executor::WorkerPool;
+    use rtpl::krylov::{CompiledTriSolve, Sorting, TriangularSolvePlan};
+    let golden: &[u8] = include_bytes!("corpus/tri_solve_v2.artifact");
+    let f = rtpl::sparse::ilu0(&rtpl::sparse::gen::laplacian_5pt(6, 5)).unwrap();
+    let fresh = TriangularSolvePlan::new_with_grain(
+        &f,
+        2,
+        ExecutorKind::SelfExecuting,
+        Sorting::Global,
+        Some(12.0),
+    )
+    .unwrap()
+    .compile()
+    .unwrap();
+    let decoded = CompiledTriSolve::decode_artifact(golden).unwrap();
+    rtpl::verify::verify_tri_solve(&decoded).unwrap();
+    assert!(decoded.plan().coalesce_stats().0.is_some());
+    assert_eq!(decoded.encode_artifact(), golden, "decoded plan re-encodes");
+    assert_eq!(fresh.encode_artifact(), golden, "fresh inspection encodes");
+
+    let n = f.n();
+    let b: Vec<f64> = (0..n).map(|i| 0.3 + (i % 13) as f64 * 0.071).collect();
+    let mut expect = vec![0.0; n];
+    fresh
+        .solve_fused_sequential(&f, &b, &mut expect, &mut fresh.scratch())
+        .unwrap();
+    let pool = WorkerPool::new(2);
+    let mut scratch = decoded.scratch();
+    for kind in ExecutorKind::ALL {
+        let mut x = vec![0.0; n];
+        decoded
+            .solve(Some(&pool), kind, &f, &b, &mut x, &mut scratch)
+            .unwrap();
+        assert_eq!(bits(&x), bits(&expect), "{kind:?}");
+    }
+}

@@ -286,10 +286,9 @@ fn batch_failures_are_isolated_per_job() {
     // cache); the bad one fails at its own value gather, the good ones
     // still agree with the sequential front door.
     assert_eq!(outcome.groups, 1);
-    // Order-independence: the poisoned job leading a COLD group (its
-    // values would poison the group's plan build, which reads values for
-    // the zero-pivot check) still must not sink its same-pattern peers —
-    // the group falls back to per-job builds.
+    // Order-independence: the singular job leading a COLD group must not
+    // sink its same-pattern peers — the group's one plan build reads
+    // structure only, and the zero pivot fails that job's gather alone.
     let rt2 = Runtime::new(test_cfg());
     let mut y1 = vec![0.0; n];
     let mut y2 = vec![0.0; n];
@@ -298,9 +297,10 @@ fn batch_failures_are_isolated_per_job() {
         Job::solve(&good, &b, &mut y2),
     ]);
     assert!(outcome2.jobs[0].is_err(), "bad-first job must fail alone");
+    assert_eq!((outcome2.groups, rt2.stats().solves.builds), (1, 1));
     assert!(
         outcome2.jobs[1].is_ok(),
-        "good job behind a poisoned group leader must still run"
+        "good job behind a singular group leader must still run"
     );
     let rt_ref = Runtime::new(RuntimeConfig {
         policy: Some(ExecutorKind::Sequential),
@@ -440,8 +440,8 @@ impl LoopBody for Bomb {
     }
 }
 
-/// `good` with a diagonal entry of `U` zeroed: plan construction rejects
-/// the values (not the pattern).
+/// `good` with a diagonal entry of `U` zeroed: same pattern, same plan,
+/// but every solve over these values reports `ZeroPivot { row: 2 }`.
 fn zero_pivot(good: &IluFactors) -> IluFactors {
     let mut bad = good.clone();
     let pos = bad.u.indptr()[2];
@@ -495,7 +495,11 @@ fn lone_submit_and_batch_of_one_are_indistinguishable() {
         send(rt, batched, Job::<NoBody>::solve(&bad, &b, x))
     });
     assert!(seen.requests.iter().all(|r| r.is_err()));
-    assert_eq!(seen.caches[0].builds, 2, "failed builds are retried");
+    assert_eq!(
+        (seen.caches[0].builds, seen.caches[0].hits),
+        (1, 1),
+        "the plan is built from structure; bad values fail only the solve"
+    );
     assert_eq!(seen.policy_runs, [0; 5]);
 
     let expired = [
@@ -533,12 +537,11 @@ fn lone_submit_and_batch_of_one_are_indistinguishable() {
     assert_eq!(seen.body_panics, 2);
 }
 
-/// A stream of failing builds trips the pattern's breaker at exactly
+/// A stream of failing jobs trips the pattern's breaker at exactly
 /// `breaker_threshold`, whichever door the stream came through — lone
-/// submits, batches of one, or one batch whose poisoned group falls back to
-/// per-job groups of one.
+/// submits, batches of one, or one batch holding them all in one group.
 #[test]
-fn failing_builds_trip_the_breaker_through_either_door() {
+fn failing_jobs_trip_the_breaker_through_either_door() {
     const THRESHOLD: usize = 3;
     let cfg = RuntimeConfig {
         breaker_threshold: THRESHOLD as u32,
@@ -549,25 +552,21 @@ fn failing_builds_trip_the_breaker_through_either_door() {
     let n = bad.n();
     let b = rhs(n, 1);
 
-    let seen = assert_door_parity(
-        "failing builds",
-        &cfg,
-        n,
-        THRESHOLD + 2,
-        |rt, batched, x| send(rt, batched, Job::<NoBody>::solve(&bad, &b, x)),
-    );
+    let seen = assert_door_parity("failing jobs", &cfg, n, THRESHOLD + 2, |rt, batched, x| {
+        send(rt, batched, Job::<NoBody>::solve(&bad, &b, x))
+    });
     for (i, r) in seen.requests.iter().enumerate() {
         let open = *r == Err(RuntimeError::CircuitOpen);
         assert_eq!(open, i >= THRESHOLD, "request {i}: {r:?}");
     }
     assert_eq!(seen.circuit_open, 2);
     assert_eq!(
-        seen.caches[0].builds, THRESHOLD as u64,
-        "open circuit builds nothing"
+        seen.caches[0].builds, 1,
+        "bad values never cost a second inspection"
     );
 
-    // One batch, one group of THRESHOLD poisoned jobs: every job's own
-    // failed build counts, so the very next lone submit is rejected.
+    // One batch, one group of THRESHOLD singular jobs: every job's own
+    // failure counts, so the very next lone submit is rejected.
     let rt = Runtime::new(cfg);
     let mut outs = vec![vec![0.0; n]; THRESHOLD];
     let outcome =
@@ -583,4 +582,66 @@ fn failing_builds_trip_the_breaker_through_either_door() {
             .unwrap_err(),
         RuntimeError::CircuitOpen
     );
+}
+
+/// Singular values cost one inspection, not one per request: the plan is
+/// keyed *and built* on structure, so K zero-pivot jobs on a fresh pattern
+/// build it once, each fail at their own value gather with `x` untouched,
+/// and the first good-valued job on the pattern is a cache hit.
+#[test]
+fn singular_values_cost_one_inspection_not_one_per_request() {
+    const K: usize = 4;
+    let cfg = RuntimeConfig {
+        breaker_threshold: K as u32 + 2,
+        ..test_cfg()
+    };
+    let good = factors_from_pattern(&pattern_set(1, 8, 31)[0]);
+    let bad = zero_pivot(&good);
+    let n = good.n();
+    let b = rhs(n, 4);
+    let zero_pivot_err = RuntimeError::Krylov(rtpl::krylov::KrylovError::Sparse(
+        rtpl::sparse::SparseError::ZeroPivot { row: 2 },
+    ));
+    // Reference: a runtime that never saw the singular values.
+    let mut expect = vec![0.0; n];
+    Runtime::new(cfg.clone())
+        .submit(Job::<NoBody>::solve(&good, &b, &mut expect))
+        .unwrap();
+
+    for batched in [false, true] {
+        let rt = Runtime::new(cfg.clone());
+        for _ in 0..K {
+            let mut x = vec![-7.0; n];
+            let r = send(&rt, batched, Job::<NoBody>::solve(&bad, &b, &mut x));
+            assert_eq!(r.unwrap_err(), zero_pivot_err);
+            assert_eq!(x, vec![-7.0; n], "a failed solve leaves x untouched");
+        }
+        assert_eq!(rt.stats().solves.builds, 1, "batched = {batched}");
+        let mut x = vec![0.0; n];
+        let o = send(&rt, batched, Job::<NoBody>::solve(&good, &b, &mut x)).unwrap();
+        assert!(o.cached, "the plan survived the bad values");
+        assert_eq!(x, expect);
+        assert_eq!(rt.stats().solves.builds, 1);
+    }
+
+    // One batch mixing good and singular factor objects of one pattern:
+    // one group, one build, per-job results.
+    let rt = Runtime::new(cfg);
+    let mut outs = vec![vec![-7.0; n]; 4];
+    let jobs = outs
+        .iter_mut()
+        .zip([&bad, &good, &bad, &good])
+        .map(|(x, f)| Job::solve(f, &b, x))
+        .collect();
+    let outcome = rt.submit_batch::<NoBody>(jobs);
+    assert_eq!((outcome.groups, rt.stats().solves.builds), (1, 1));
+    for (i, (r, x)) in outcome.jobs.iter().zip(&outs).enumerate() {
+        if i % 2 == 0 {
+            assert_eq!(r.as_ref().unwrap_err(), &zero_pivot_err, "job {i}");
+            assert_eq!(x, &vec![-7.0; n], "job {i}");
+        } else {
+            assert!(r.is_ok(), "job {i}: {r:?}");
+            assert_eq!(x, &expect, "job {i}");
+        }
+    }
 }

@@ -379,6 +379,51 @@ fn reshipped_factors_replace_registered_values() {
     server.shutdown().unwrap();
 }
 
+/// Singular values cost the server one inspection, not one per request:
+/// a shipped zero pivot is a typed runtime error on a connection that
+/// stays usable, the pattern's plan (built from structure alone) is
+/// already warm, and good values for the same pattern then solve from
+/// cache, bit-exact.
+#[test]
+fn singular_factors_fail_the_solve_and_keep_the_plan() {
+    let server = Server::spawn(test_server_config()).unwrap();
+    let (f, b) = test_factors();
+    let key = Runtime::solve_key(&f);
+    let mut singular = f.clone();
+    let diag = singular.u.indptr()[3];
+    assert_eq!(
+        singular.u.row_indices(3)[0],
+        3,
+        "row 3 leads with its diagonal"
+    );
+    singular.u.data_mut()[diag] = 0.0;
+    assert_eq!(Runtime::solve_key(&singular), key);
+
+    let mut client = Client::connect(server.addr()).unwrap();
+    match client.solve(&singular.l, &singular.u, &b).unwrap() {
+        Response::Error { code, message } => {
+            assert_eq!(code, rtpl::server::proto::err_code::RUNTIME, "{message}");
+            assert!(message.contains("pivot"), "{message}");
+        }
+        other => panic!("{other:?}"),
+    }
+    match client.warm_check(key).unwrap() {
+        Response::WarmStatus { level } => {
+            assert_eq!(level, WarmLevel::Memory, "the plan survives bad values")
+        }
+        other => panic!("{other:?}"),
+    }
+    match client.solve(&f.l, &f.u, &b).unwrap() {
+        Response::Solved { x, cached, .. } => {
+            assert_eq!(x, reference_solve(&f, &b));
+            assert!(cached, "good values re-inspected a pattern already planned");
+        }
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(server.runtime().stats().solves.builds, 1);
+    server.shutdown().unwrap();
+}
+
 /// The factor registry is bounded: shipping more patterns than
 /// `registry_capacity` evicts the least-recently-used one, which then
 /// answers `UNKNOWN_PATTERN` (the client's cue to re-ship) — server
