@@ -70,6 +70,9 @@ fn main() {
     let pool = WorkerPool::new(nprocs);
     let schedule = Schedule::global(&wf, nprocs).unwrap();
     let plan = PlannedLoop::new(g, schedule.clone()).unwrap();
+    // One scratch for the whole bench: `run_in` times a discipline, not an
+    // allocation.
+    let mut scratch = plan.scratch();
     let body = Solve { l: &l, rhs: &rhs };
 
     println!("executors_32x32 (p = {nprocs})");
@@ -78,16 +81,28 @@ fn main() {
         plan.run_sequential(&body, &mut x);
     });
     bench_case(&format!("self_executing_p{nprocs}"), 5, 30, || {
-        plan.run(&pool, ExecPolicy::SelfExecuting, &body, &mut x);
+        plan.run_in(
+            &mut scratch,
+            &pool,
+            ExecPolicy::SelfExecuting,
+            &body,
+            &mut x,
+        );
     });
     bench_case(&format!("pre_scheduled_p{nprocs}"), 5, 30, || {
-        plan.run(&pool, ExecPolicy::PreScheduled, &body, &mut x);
+        plan.run_in(&mut scratch, &pool, ExecPolicy::PreScheduled, &body, &mut x);
     });
     bench_case(&format!("pre_scheduled_elided_p{nprocs}"), 5, 30, || {
-        plan.run(&pool, ExecPolicy::PreScheduledElided, &body, &mut x);
+        plan.run_in(
+            &mut scratch,
+            &pool,
+            ExecPolicy::PreScheduledElided,
+            &body,
+            &mut x,
+        );
     });
     bench_case(&format!("doacross_p{nprocs}"), 5, 30, || {
-        plan.run(&pool, ExecPolicy::Doacross, &body, &mut x);
+        plan.run_in(&mut scratch, &pool, ExecPolicy::Doacross, &body, &mut x);
     });
     let order = wf.sorted_list();
     bench_case(&format!("self_scheduling_guided_p{nprocs}"), 5, 30, || {
@@ -103,7 +118,13 @@ fn main() {
     // --- static vs dyn dispatch on the identical discipline ---------------
     println!("\ndispatch comparison (self-executing, identical schedule):");
     let t_static = bench_case("generic (static dispatch)", 5, 50, || {
-        plan.run(&pool, ExecPolicy::SelfExecuting, &body, &mut x);
+        plan.run_in(
+            &mut scratch,
+            &pool,
+            ExecPolicy::SelfExecuting,
+            &body,
+            &mut x,
+        );
     });
     let dyn_body =
         |i: usize, src: &dyn ValueSource| row_substitution_lower(&l, &rhs, i, |j| src.get(j));

@@ -1,12 +1,13 @@
 //! Cooperative cancellation and deadlines for executor runs.
 //!
 //! A [`CancelToken`] is a cheap, cloneable handle (an `Arc`'d flag plus an
-//! optional deadline instant) that the executors consult at their natural
-//! synchronization boundaries — between pre-scheduled phases, and every
-//! [`CHECK_STRIDE`] iterations inside the busy-wait disciplines — so a
-//! run whose requester has given up (or whose deadline passed) stops
+//! optional deadline instant) that every parallel discipline consults at
+//! one cadence: each worker polls it every [`CHECK_STRIDE`] positions of
+//! its own count, inside a pre-scheduled phase as in the busy-wait walks —
+//! so a run whose requester has given up (or whose deadline passed) stops
 //! occupying workers within a bounded number of iterations instead of
-//! running to completion into a buffer nobody will read.
+//! running to completion into a buffer nobody will read. (The sequential
+//! sweeps have no cancellation points; callers gate entry on the token.)
 //!
 //! Cancellation is *cooperative* and *containing*: the worker that
 //! observes the token poisons the run's shared buffers (releasing any
@@ -19,9 +20,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// How many loop iterations a busy-wait executor runs between token
-/// checks — coarse enough that the disarmed check is negligible against a
-/// body evaluation, fine enough that cancellation latency stays bounded.
+/// How many positions a worker evaluates between token checks, under
+/// every parallel discipline — coarse enough that the disarmed check is
+/// negligible against a body evaluation, fine enough that a worker runs at
+/// most `CHECK_STRIDE` evaluations after the token fires.
 pub const CHECK_STRIDE: usize = 64;
 
 /// Why a cancellable executor run did not produce a result.
@@ -135,38 +137,27 @@ impl Default for CancelToken {
     }
 }
 
-/// Shared per-run interrupt slot the executor cores use to carry the
+/// Shared per-run interrupt slot the run envelope uses to carry the
 /// first observed [`ExecError`] from a worker back to the coordinator
 /// (workers that merely got released by poisoning must not overwrite the
 /// original cause).
-pub(crate) struct InterruptCell {
-    set: AtomicBool,
-    cause: std::sync::Mutex<Option<ExecError>>,
-}
+pub(crate) struct InterruptCell(std::sync::Mutex<Option<ExecError>>);
 
 impl InterruptCell {
     pub(crate) fn new() -> Self {
-        InterruptCell {
-            set: AtomicBool::new(false),
-            cause: std::sync::Mutex::new(None),
-        }
+        InterruptCell(std::sync::Mutex::new(None))
     }
 
     /// Records `cause` if no cause has been recorded yet.
     pub(crate) fn set(&self, cause: ExecError) {
-        let mut slot = self.cause.lock().unwrap_or_else(|e| e.into_inner());
-        if slot.is_none() {
-            *slot = Some(cause);
-            self.set.store(true, Ordering::Release);
-        }
+        let mut slot = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        slot.get_or_insert(cause);
     }
 
-    /// The first recorded cause, if any.
+    /// The first recorded cause, if any. Read once per run, by the
+    /// coordinator after the join.
     pub(crate) fn get(&self) -> Option<ExecError> {
-        if !self.set.load(Ordering::Acquire) {
-            return None;
-        }
-        *self.cause.lock().unwrap_or_else(|e| e.into_inner())
+        *self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 

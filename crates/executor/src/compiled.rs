@@ -30,28 +30,31 @@
 //!   them in the original operand order, so every result stays bit-exact
 //!   with the rolled loop;
 //! * numeric values are attached by a one-pass [`CompiledPlan::load_values`]
-//!   gather into a leased [`RunScratch`], which also owns the epoch-stamped
-//!   [`SharedVec`] and per-processor counters. The plan itself is immutable
-//!   and freely shared (`Arc`): **N threads holding N scratches run N
-//!   executions of the same plan concurrently** — exactly what a plan cache
-//!   serving a Zipf-skewed request mix needs.
+//!   gather into a leased [`RunScratch`], which also embeds the
+//!   synchronization scratch ([`crate::LoopScratch`]) every parallel run
+//!   uses. The plan itself is immutable and freely shared (`Arc`): **N
+//!   threads holding N scratches run N executions of the same plan
+//!   concurrently** — exactly what a plan cache serving a Zipf-skewed
+//!   request mix needs.
 //!
 //! All four [`crate::ExecPolicy`] disciplines plus the sequential reference are
 //! available, and every one performs bit-identical per-row arithmetic
 //! (subtract operand products in spec order, then multiply the scale), so
 //! results are bit-exact across policies, processor counts, and against the
-//! uncompiled [`crate::PlannedLoop`] path.
+//! uncompiled [`crate::PlannedLoop`] path. The parallel disciplines are not
+//! written here: [`CompiledPlan::try_run`] hands the layout kernel (a
+//! position is an offset into the execution-order arrays) to the same walk
+//! of the crate's one protocol (`protocol.rs`) that `PlannedLoop` uses.
+//! Only the sequential sweeps keep their own loops.
 
-use crate::barrier::SpinBarrier;
-use crate::cancel::{CancelToken, ExecError, InterruptCell, CHECK_STRIDE};
+use crate::cancel::{CancelToken, ExecError};
 use crate::planned::PlannedLoop;
 use crate::pool::WorkerPool;
+use crate::protocol::{Kernel, LoopScratch, Run};
 use crate::report::ExecReport;
-use crate::shared::{PublishedSource, SharedVec, WaitingSource};
 use crate::ValueSource;
 use rtpl_inspector::BarrierPlan;
 use rtpl_sparse::wire::{WireError, WireReader, WireResult, WireWriter};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Errors from compiling or loading a [`CompiledPlan`].
@@ -277,14 +280,13 @@ pub struct LayoutView<'a> {
     pub barriers: &'a BarrierPlan,
 }
 
-/// The mutable half of a compiled execution: the epoch-stamped shared
-/// vector, per-processor iteration counters, the gathered operand values
-/// and scales, and the sequential work buffer. Lease one per concurrent
-/// run; the [`CompiledPlan`] itself is never written after compilation.
+/// The mutable half of a compiled execution: the synchronization scratch
+/// of the parallel runs, the gathered operand values and scales, and the
+/// sequential work buffer. Lease one per concurrent run; the
+/// [`CompiledPlan`] itself is never written after compilation.
 #[derive(Debug)]
 pub struct RunScratch {
-    shared: SharedVec,
-    iters: Vec<AtomicU64>,
+    sync: LoopScratch,
     vals: Vec<f64>,
     scale: Vec<f64>,
     seq: Vec<f64>,
@@ -294,13 +296,53 @@ pub struct RunScratch {
 impl RunScratch {
     fn new(plan: &CompiledPlan) -> Self {
         RunScratch {
-            shared: SharedVec::new(plan.n),
-            iters: (0..plan.nprocs).map(|_| AtomicU64::new(0)).collect(),
+            sync: LoopScratch::new(plan.n, plan.nprocs),
             vals: vec![0.0; plan.val_src.len()],
             scale: vec![1.0; plan.n],
             seq: vec![0.0; plan.n],
             loaded: false,
         }
+    }
+}
+
+/// The compiled kernel of the synchronization protocol: a position is an
+/// offset `t` into the execution-order arrays, so the list and phase walks
+/// stream them contiguously; only doacross goes through `pos_of_row`.
+struct LayoutKernel<'a> {
+    plan: &'a CompiledPlan,
+    vals: &'a [f64],
+    scale: &'a [f64],
+    rhs: &'a [f64],
+}
+
+impl<S: ValueSource> Kernel<S> for LayoutKernel<'_> {
+    fn prologue(&self) {
+        if rtpl_sparse::failpoint::should_fail("exec.body_panic") {
+            panic!("injected body panic (fail point exec.body_panic)");
+        }
+    }
+    fn num_phases(&self) -> usize {
+        self.plan.num_phases
+    }
+    fn proc(&self, p: usize) -> impl Iterator<Item = usize> {
+        self.plan.proc_ptr[p]..self.plan.proc_ptr[p + 1]
+    }
+    fn phase(&self, p: usize, w: usize) -> impl Iterator<Item = usize> {
+        let at = p * (self.plan.num_phases + 1) + w;
+        self.plan.phase_ptr[at]..self.plan.phase_ptr[at + 1]
+    }
+    fn row(&self, i: usize) -> usize {
+        self.plan.pos_of_row[i] as usize
+    }
+    fn index(&self, t: usize) -> usize {
+        self.plan.target[t] as usize
+    }
+    #[inline]
+    fn eval(&self, t: usize, src: &S) -> f64 {
+        let acc = self
+            .plan
+            .dot_sub(t, self.rhs[self.plan.rhs[t] as usize], self.vals, src);
+        acc * self.scale[t]
     }
 }
 
@@ -578,19 +620,6 @@ impl CompiledPlan {
         acc
     }
 
-    #[inline]
-    fn eval<S: ValueSource>(
-        &self,
-        t: usize,
-        vals: &[f64],
-        scale: &[f64],
-        rhs: &[f64],
-        src: &S,
-    ) -> f64 {
-        let acc = self.dot_sub(t, rhs[self.rhs[t] as usize], vals, src);
-        acc * scale[t]
-    }
-
     fn check_run(&self, scratch: &RunScratch, rhs: &[f64], out: &[f64]) {
         assert!(
             scratch.loaded,
@@ -602,23 +631,12 @@ impl CompiledPlan {
             "scratch holds values for another plan's operand layout"
         );
         assert_eq!(
-            scratch.shared.len(),
-            self.n,
-            "scratch sized for another plan"
-        );
-        assert_eq!(
-            scratch.iters.len(),
-            self.nprocs,
+            (scratch.sync.n(), scratch.sync.nprocs()),
+            (self.n, self.nprocs),
             "scratch sized for another plan"
         );
         assert_eq!(rhs.len(), self.n);
         assert_eq!(out.len(), self.n);
-    }
-
-    fn gather_out(&self, scratch: &RunScratch, epoch: u32, out: &mut [f64]) {
-        for (i, &o) in self.out_map.iter().enumerate() {
-            out[o as usize] = scratch.shared.get_published_at(i, epoch);
-        }
     }
 
     /// Executes the compiled loop under `policy`. The scratch is borrowed
@@ -653,207 +671,36 @@ impl CompiledPlan {
         out: &mut [f64],
         cancel: Option<&CancelToken>,
     ) -> Result<ExecReport, ExecError> {
-        assert_eq!(
-            self.nprocs,
-            pool.nworkers(),
-            "compiled layout processor count must match the pool"
-        );
         self.check_run(scratch, rhs, out);
-        match policy {
-            crate::ExecPolicy::SelfExecuting => {
-                self.run_self_executing(pool, scratch, rhs, out, cancel)
-            }
-            crate::ExecPolicy::PreScheduled => {
-                self.run_pre_scheduled(pool, &self.full_barriers, scratch, rhs, out, cancel)
-            }
-            crate::ExecPolicy::PreScheduledElided => {
-                self.run_pre_scheduled(pool, &self.barriers, scratch, rhs, out, cancel)
-            }
+        let kernel = LayoutKernel {
+            plan: self,
+            vals: &scratch.vals,
+            scale: &scratch.scale,
+            rhs,
+        };
+        let run = Run {
+            pool,
+            scratch: &mut scratch.sync,
+            cancel,
+        };
+        let report = match policy {
+            crate::ExecPolicy::SelfExecuting => run.list_walk(&kernel),
+            crate::ExecPolicy::PreScheduled => run.phase_walk(&kernel, &self.full_barriers),
+            crate::ExecPolicy::PreScheduledElided => run.phase_walk(&kernel, &self.barriers),
             crate::ExecPolicy::Doacross => {
                 assert!(
                     self.forward,
                     "the doacross policy requires a forward dependence graph"
                 );
-                self.run_doacross(pool, scratch, rhs, out, cancel)
+                run.stripe_walk(&kernel)
             }
+        }?;
+        let shared = &scratch.sync.shared;
+        let epoch = shared.current_epoch();
+        for (i, &o) in self.out_map.iter().enumerate() {
+            out[o as usize] = shared.get_published_at(i, epoch);
         }
-    }
-
-    fn run_self_executing(
-        &self,
-        pool: &WorkerPool,
-        scratch: &mut RunScratch,
-        rhs: &[f64],
-        out: &mut [f64],
-        cancel: Option<&CancelToken>,
-    ) -> Result<ExecReport, ExecError> {
-        let sc: &RunScratch = scratch;
-        let epoch = sc.shared.begin_run();
-        let stalls = AtomicU64::new(0);
-        let interrupted = InterruptCell::new();
-        let t0 = Instant::now();
-        let ran = pool.run(&|p| {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if rtpl_sparse::failpoint::should_fail("exec.body_panic") {
-                    panic!("injected body panic (fail point exec.body_panic)");
-                }
-                let src = WaitingSource::new(&sc.shared, epoch);
-                let mut count = 0u64;
-                for t in self.proc_ptr[p]..self.proc_ptr[p + 1] {
-                    if (count as usize).is_multiple_of(CHECK_STRIDE) {
-                        if let Some(cause) = cancel.and_then(CancelToken::check) {
-                            interrupted.set(cause);
-                            sc.shared.poison();
-                            return;
-                        }
-                    }
-                    let v = self.eval(t, &sc.vals, &sc.scale, rhs, &src);
-                    sc.shared.publish_at(self.target[t] as usize, v, epoch);
-                    count += 1;
-                }
-                sc.iters[p].store(count, Ordering::Relaxed);
-                stalls.fetch_add(src.stalls(), Ordering::Relaxed);
-            }));
-            if let Err(e) = outcome {
-                sc.shared.poison();
-                std::panic::resume_unwind(e);
-            }
-        });
-        let wall = t0.elapsed();
-        if let Some(cause) = interrupted.get() {
-            return Err(cause);
-        }
-        ran.map_err(|e| ExecError::BodyPanicked {
-            workers: e.panicked,
-        })?;
-        self.gather_out(sc, epoch, out);
-        Ok(ExecReport {
-            barriers: 0,
-            stalls: stalls.load(Ordering::Relaxed),
-            iters_per_proc: sc.iters.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-            wall,
-        })
-    }
-
-    fn run_pre_scheduled(
-        &self,
-        pool: &WorkerPool,
-        plan: &BarrierPlan,
-        scratch: &mut RunScratch,
-        rhs: &[f64],
-        out: &mut [f64],
-        cancel: Option<&CancelToken>,
-    ) -> Result<ExecReport, ExecError> {
-        let sc: &RunScratch = scratch;
-        let epoch = sc.shared.begin_run();
-        let barrier = SpinBarrier::new(self.nprocs);
-        let stride = self.num_phases + 1;
-        let interrupted = InterruptCell::new();
-        let t0 = Instant::now();
-        let ran = pool.run(&|p| {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if rtpl_sparse::failpoint::should_fail("exec.body_panic") {
-                    panic!("injected body panic (fail point exec.body_panic)");
-                }
-                let src = PublishedSource::new(&sc.shared, epoch);
-                let mut count = 0u64;
-                for w in 0..self.num_phases {
-                    if let Some(cause) = cancel.and_then(CancelToken::check) {
-                        interrupted.set(cause);
-                        barrier.poison();
-                        sc.shared.poison();
-                        return;
-                    }
-                    for t in self.phase_ptr[p * stride + w]..self.phase_ptr[p * stride + w + 1] {
-                        let v = self.eval(t, &sc.vals, &sc.scale, rhs, &src);
-                        sc.shared.publish_at(self.target[t] as usize, v, epoch);
-                        count += 1;
-                    }
-                    if w + 1 < self.num_phases && plan.is_kept(w) {
-                        barrier.wait();
-                    }
-                }
-                sc.iters[p].store(count, Ordering::Relaxed);
-            }));
-            if let Err(e) = outcome {
-                barrier.poison();
-                sc.shared.poison();
-                std::panic::resume_unwind(e);
-            }
-        });
-        let wall = t0.elapsed();
-        if let Some(cause) = interrupted.get() {
-            return Err(cause);
-        }
-        ran.map_err(|e| ExecError::BodyPanicked {
-            workers: e.panicked,
-        })?;
-        self.gather_out(sc, epoch, out);
-        Ok(ExecReport {
-            barriers: plan.count() as u64,
-            stalls: 0,
-            iters_per_proc: sc.iters.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-            wall,
-        })
-    }
-
-    fn run_doacross(
-        &self,
-        pool: &WorkerPool,
-        scratch: &mut RunScratch,
-        rhs: &[f64],
-        out: &mut [f64],
-        cancel: Option<&CancelToken>,
-    ) -> Result<ExecReport, ExecError> {
-        let sc: &RunScratch = scratch;
-        let epoch = sc.shared.begin_run();
-        let stalls = AtomicU64::new(0);
-        let interrupted = InterruptCell::new();
-        let t0 = Instant::now();
-        let ran = pool.run(&|p| {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if rtpl_sparse::failpoint::should_fail("exec.body_panic") {
-                    panic!("injected body panic (fail point exec.body_panic)");
-                }
-                let src = WaitingSource::new(&sc.shared, epoch);
-                let mut count = 0u64;
-                let mut i = p;
-                while i < self.n {
-                    if (count as usize).is_multiple_of(CHECK_STRIDE) {
-                        if let Some(cause) = cancel.and_then(CancelToken::check) {
-                            interrupted.set(cause);
-                            sc.shared.poison();
-                            return;
-                        }
-                    }
-                    let t = self.pos_of_row[i] as usize;
-                    let v = self.eval(t, &sc.vals, &sc.scale, rhs, &src);
-                    sc.shared.publish_at(i, v, epoch);
-                    count += 1;
-                    i += self.nprocs;
-                }
-                sc.iters[p].store(count, Ordering::Relaxed);
-                stalls.fetch_add(src.stalls(), Ordering::Relaxed);
-            }));
-            if let Err(e) = outcome {
-                sc.shared.poison();
-                std::panic::resume_unwind(e);
-            }
-        });
-        let wall = t0.elapsed();
-        if let Some(cause) = interrupted.get() {
-            return Err(cause);
-        }
-        ran.map_err(|e| ExecError::BodyPanicked {
-            workers: e.panicked,
-        })?;
-        self.gather_out(sc, epoch, out);
-        Ok(ExecReport {
-            barriers: 0,
-            stalls: stalls.load(Ordering::Relaxed),
-            iters_per_proc: sc.iters.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-            wall,
-        })
+        Ok(report)
     }
 
     /// Executes the compiled loop sequentially in phase-major order (a

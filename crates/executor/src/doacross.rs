@@ -9,85 +9,13 @@
 //!
 //! Deadlock freedom: for a forward dependence graph (`dep < i`), the lowest
 //! unexecuted index's operands are all complete, and each processor's local
-//! order is increasing, so some processor can always advance.
+//! order is increasing, so some processor can always advance. The loop is
+//! `protocol::stripe_walk` of the crate's one synchronization protocol.
 
-use crate::cancel::{CancelToken, ExecError, InterruptCell, CHECK_STRIDE};
 use crate::pool::WorkerPool;
+use crate::protocol;
 use crate::report::ExecReport;
-use crate::shared::{SharedVec, WaitingSource};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-/// The doacross loop over caller-provided buffers (see
-/// [`crate::PlannedLoop`] for the reusing caller). Cancellation is
-/// consulted every [`CHECK_STRIDE`] iterations; a body panic or an
-/// observed cancellation poisons the shared vector and surfaces as a
-/// typed [`ExecError`].
-pub(crate) fn doacross_core<F>(
-    pool: &WorkerPool,
-    n: usize,
-    shared: &SharedVec,
-    iters: &[AtomicU64],
-    body: &F,
-    out: &mut [f64],
-    cancel: Option<&CancelToken>,
-) -> Result<ExecReport, ExecError>
-where
-    F: for<'s> Fn(usize, &WaitingSource<'s>) -> f64 + Sync,
-{
-    assert_eq!(out.len(), n);
-    assert_eq!(shared.len(), n);
-    assert_eq!(
-        iters.len(),
-        pool.nworkers(),
-        "planned processor count must match the pool"
-    );
-    let nprocs = pool.nworkers();
-    let epoch = shared.begin_run();
-    let stalls = AtomicU64::new(0);
-    let interrupted = InterruptCell::new();
-    let t0 = Instant::now();
-    let ran = pool.run(&|p| {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let src = WaitingSource::new(shared, epoch);
-            let mut count = 0u64;
-            let mut i = p;
-            while i < n {
-                if (count as usize).is_multiple_of(CHECK_STRIDE) {
-                    if let Some(cause) = cancel.and_then(CancelToken::check) {
-                        interrupted.set(cause);
-                        shared.poison();
-                        return;
-                    }
-                }
-                let v = body(i, &src);
-                shared.publish_at(i, v, epoch);
-                count += 1;
-                i += nprocs;
-            }
-            iters[p].store(count, Ordering::Relaxed);
-            stalls.fetch_add(src.stalls(), Ordering::Relaxed);
-        }));
-        if let Err(e) = outcome {
-            shared.poison();
-            std::panic::resume_unwind(e);
-        }
-    });
-    let wall = t0.elapsed();
-    if let Some(cause) = interrupted.get() {
-        return Err(cause);
-    }
-    ran.map_err(|e| ExecError::BodyPanicked {
-        workers: e.panicked,
-    })?;
-    shared.copy_into_at(out, epoch);
-    Ok(ExecReport {
-        barriers: 0,
-        stalls: stalls.load(Ordering::Relaxed),
-        iters_per_proc: iters.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-        wall,
-    })
-}
+use crate::shared::WaitingSource;
 
 /// Runs `body` over `0..n` in natural order, index `i` on processor
 /// `i mod p`, busy-waiting on dependence values. The dependence graph must
@@ -97,9 +25,8 @@ pub fn doacross<F>(pool: &WorkerPool, n: usize, body: &F, out: &mut [f64]) -> Ex
 where
     F: for<'s> Fn(usize, &WaitingSource<'s>) -> f64 + Sync,
 {
-    let shared = SharedVec::new(n);
-    let iters: Vec<AtomicU64> = (0..pool.nworkers()).map(|_| AtomicU64::new(0)).collect();
-    doacross_core(pool, n, &shared, &iters, body, out, None).unwrap_or_else(|e| panic!("{e}"))
+    assert_eq!(out.len(), n);
+    protocol::one_shot(pool, None, body, out, |run, kernel| run.stripe_walk(kernel))
 }
 
 #[cfg(test)]

@@ -9,11 +9,14 @@
 //! ```
 //!
 //! A [`PlannedLoop`] is built **once** per dependence structure (it owns the
-//! schedule, the minimal barrier plan, and the shared ready-flag buffer) and
-//! then run **many** times — the paper's core economics: the inspector cost
-//! is amortized over repeated executions, and repeated executions allocate
-//! nothing. The four synchronization disciplines are selected by
-//! [`ExecPolicy`]:
+//! schedule and the minimal barrier plan — structure only) and then run
+//! **many** times — the paper's core economics: the inspector cost is
+//! amortized over repeated executions. A run's mutable state is a
+//! [`LoopScratch`] (the shared ready-flag buffer), borrowed exclusively for
+//! the run; the allocation-free promise lives on [`PlannedLoop::run_in`],
+//! which reuses a caller-held scratch at the cost of an O(1) epoch bump
+//! (`run` builds a scratch per call). The four synchronization disciplines
+//! are selected by [`ExecPolicy`]:
 //!
 //! * [`ExecPolicy::PreScheduled`] (Figure 5) — processors execute their
 //!   phase slices and meet at a **global barrier** between consecutive
@@ -35,9 +38,25 @@
 //! [`shared::PublishedSource`], or the sequential [`DirectSource`]) — there
 //! is no `dyn Fn` or `dyn ValueSource` call anywhere on an executor hot
 //! path. The per-discipline free functions ([`pre_scheduled`],
-//! [`self_executing`], [`doacross()`], [`doall()`], …) remain available and are
-//! equally generic; `PlannedLoop::run` is a thin planner-owned dispatcher
-//! over the same cores.
+//! [`self_executing`], [`doacross()`], [`self_scheduling`], …) remain
+//! available and are equally generic.
+//!
+//! ## One protocol: envelope, walks, kernels
+//!
+//! The paper's executors are loop *structures* independent of the loop
+//! body, and the crate writes that structure once (private `protocol`
+//! module): the **envelope** — epoch bump, fork, per-worker panic
+//! containment, poisoning of the shared vector and the barrier,
+//! first-cause-wins interrupt, `PoolError` → [`ExecError`], wall clock,
+//! [`ExecReport`]; **four walks** over it — list order with busy-wait
+//! reads (Figure 4), phase slices with a barrier at each kept boundary
+//! (Figure 5), natural order striped `i ≡ p (mod nprocs)` (doacross),
+//! dynamic chunk claiming (self-scheduling) — each polling the run's
+//! [`CancelToken`] every [`cancel::CHECK_STRIDE`] positions; and **two
+//! kernels** the walks are generic over — schedule lists plus a
+//! [`LoopBody`]/closure, and [`compiled::CompiledPlan`]'s execution-order
+//! arrays. Every public entry point is kernel construction, one walk call,
+//! and its own copy-out.
 //!
 //! Every executor — including the embarrassingly parallel [`mod@doall`] family —
 //! reports its run through one [`ExecReport`]: barriers performed, busy-wait
@@ -81,6 +100,7 @@ pub mod doall;
 pub mod planned;
 pub mod pool;
 pub mod presched;
+mod protocol;
 pub mod report;
 pub mod rows;
 pub mod selfexec;

@@ -1,15 +1,18 @@
 //! The unified plan-once / run-many execution API.
 //!
 //! A [`PlannedLoop`] is the product of the inspector pipeline: it owns the
-//! dependence graph, the per-processor [`Schedule`], the minimal
-//! [`BarrierPlan`], and the shared epoch-stamped value/ready buffer. Build
-//! it once per dependence structure, then call [`PlannedLoop::run`] as many
-//! times as the application iterates (Krylov solvers run the same two
-//! triangular-solve plans hundreds of times) — repeated runs perform **no
-//! O(n) allocation or flag clearing**; invalidation is an O(1) epoch bump.
+//! dependence graph, the per-processor [`Schedule`] and the minimal
+//! [`BarrierPlan`] — structure only, immutable and shareable. A run's
+//! mutable half is a [`LoopScratch`], borrowed exclusively. Build the plan
+//! once per dependence structure; run-many callers (Krylov solvers run the
+//! same two plans hundreds of times) hold one scratch and call
+//! [`PlannedLoop::run_in`], whose repeated runs perform **no O(n)
+//! allocation or flag clearing** — invalidation is an O(1) epoch bump.
+//! [`PlannedLoop::run`] builds a scratch for the call.
 //!
 //! All four synchronization disciplines of the paper's §5 comparison are
-//! reachable through the single generic entry point:
+//! reachable through the single generic entry point (a body kernel handed
+//! to the matching walk of the crate's one protocol, `protocol.rs`):
 //!
 //! ```
 //! use rtpl_executor::{ExecPolicy, LoopBody, PlannedLoop, ValueSource, WorkerPool};
@@ -47,11 +50,13 @@
 
 use crate::cancel::{CancelToken, ExecError};
 use crate::pool::WorkerPool;
+use crate::protocol::{BodyKernel, Run};
 use crate::report::ExecReport;
-use crate::shared::SharedVec;
+use crate::shared::{PublishedSource, WaitingSource};
 use crate::LoopBody;
 use rtpl_inspector::{BarrierPlan, DepGraph, Result, Schedule};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+pub use crate::protocol::LoopScratch;
 
 /// Which synchronization discipline [`PlannedLoop::run`] uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -82,66 +87,17 @@ impl ExecPolicy {
 }
 
 /// A scheduled loop, ready to execute many times (step 3's transformed
-/// loop, owning everything reusable across executions).
+/// loop, owning every *structural* product of the inspector).
 ///
-/// `run` takes `&self`; the shared buffer is invalidated per run by an
-/// epoch bump. The plan owns one built-in [`LoopScratch`], so plain
-/// [`PlannedLoop::run`] must not execute two runs concurrently — they
-/// would publish into the same cells. Overlapping calls are detected at
-/// run entry and panic immediately rather than corrupting results or
-/// livelocking. To run one plan from many threads at once, give each
-/// caller its own scratch ([`PlannedLoop::scratch`]) and use
-/// [`PlannedLoop::run_in`].
+/// The plan is read-only during a run: any number of threads may execute
+/// it at once, each through [`PlannedLoop::run_in`] with its own
+/// [`LoopScratch`] (borrowed `&mut`, so overlap is a borrow-check error).
 #[derive(Debug)]
 pub struct PlannedLoop {
     graph: DepGraph,
     schedule: Schedule,
     barriers: BarrierPlan,
     full_barriers: BarrierPlan,
-    scratch: LoopScratch,
-}
-
-/// The mutable per-run state of a [`PlannedLoop`] execution: the
-/// epoch-stamped shared value/ready buffer and the per-processor iteration
-/// counters. Every plan owns one; additional scratches let independent
-/// callers run the **same** plan concurrently (lease one scratch per
-/// in-flight run — a single scratch still admits one run at a time, which
-/// is checked).
-#[derive(Debug)]
-pub struct LoopScratch {
-    shared: SharedVec,
-    iters: Vec<AtomicU64>,
-    running: AtomicBool,
-}
-
-impl LoopScratch {
-    /// Scratch for an `n`-iteration loop scheduled on `nprocs` processors.
-    pub fn new(n: usize, nprocs: usize) -> Self {
-        LoopScratch {
-            shared: SharedVec::new(n),
-            iters: (0..nprocs).map(|_| AtomicU64::new(0)).collect(),
-            running: AtomicBool::new(false),
-        }
-    }
-
-    /// Loop length this scratch serves.
-    pub fn n(&self) -> usize {
-        self.shared.len()
-    }
-
-    /// Processor count this scratch serves.
-    pub fn nprocs(&self) -> usize {
-        self.iters.len()
-    }
-}
-
-/// Clears the run-in-progress flag even when an executor panics.
-struct RunGuard<'a>(&'a AtomicBool);
-
-impl Drop for RunGuard<'_> {
-    fn drop(&mut self) {
-        self.0.store(false, Ordering::Release);
-    }
 }
 
 impl PlannedLoop {
@@ -150,16 +106,7 @@ impl PlannedLoop {
     pub fn new(graph: DepGraph, schedule: Schedule) -> Result<Self> {
         schedule.validate(&graph)?;
         let barriers = BarrierPlan::minimal(&schedule, &graph)?;
-        let full_barriers = BarrierPlan::full(schedule.num_phases());
-        let n = schedule.n();
-        let nprocs = schedule.nprocs();
-        Ok(PlannedLoop {
-            graph,
-            schedule,
-            barriers,
-            full_barriers,
-            scratch: LoopScratch::new(n, nprocs),
-        })
+        Self::from_parts(graph, schedule, barriers)
     }
 
     /// Rebuilds a plan from parts that were **validated when first built**
@@ -185,18 +132,15 @@ impl PlannedLoop {
             )));
         }
         let full_barriers = BarrierPlan::full(schedule.num_phases());
-        let n = schedule.n();
-        let nprocs = schedule.nprocs();
         Ok(PlannedLoop {
             graph,
             schedule,
             barriers,
             full_barriers,
-            scratch: LoopScratch::new(n, nprocs),
         })
     }
 
-    /// A fresh scratch sized for this plan — lease one per concurrent run
+    /// A fresh scratch sized for this plan — hold one per in-flight run
     /// and execute through [`PlannedLoop::run_in`].
     pub fn scratch(&self) -> LoopScratch {
         LoopScratch::new(self.n(), self.nprocs())
@@ -237,7 +181,8 @@ impl PlannedLoop {
     /// The body is statically dispatched: `B::eval` monomorphizes against
     /// the policy's concrete value source. The pool must match the
     /// schedule's processor count (checked). Panics if the body panics;
-    /// failure-containing callers use [`PlannedLoop::try_run_in`].
+    /// failure-containing callers use [`PlannedLoop::try_run_in`]. Builds
+    /// a scratch for the call; [`PlannedLoop::run_in`] reuses one.
     pub fn run<B: LoopBody>(
         &self,
         pool: &WorkerPool,
@@ -245,18 +190,15 @@ impl PlannedLoop {
         body: &B,
         out: &mut [f64],
     ) -> ExecReport {
-        self.run_in(&self.scratch, pool, policy, body, out)
+        self.run_in(&mut self.scratch(), pool, policy, body, out)
     }
 
-    /// As [`PlannedLoop::run`], executing over a caller-supplied scratch.
-    ///
-    /// The plan itself is read-only during a run, so any number of threads
-    /// may execute it simultaneously as long as each brings its own
-    /// scratch (the scratch must match the plan's size and processor
-    /// count, and serve one run at a time — both checked).
+    /// As [`PlannedLoop::run`], executing over a caller-held scratch (which
+    /// must match the plan's size and processor count — checked): repeated
+    /// runs allocate nothing beyond the report.
     pub fn run_in<B: LoopBody>(
         &self,
-        scratch: &LoopScratch,
+        scratch: &mut LoopScratch,
         pool: &WorkerPool,
         policy: ExecPolicy,
         body: &B,
@@ -270,77 +212,51 @@ impl PlannedLoop {
     /// body or a fired [`CancelToken`] yields a typed [`ExecError`]
     /// instead of unwinding through the caller. On error the output buffer
     /// is untouched (partial results stay in the poisoned scratch, which
-    /// the next run's epoch bump discards) and both the plan and the pool
-    /// remain usable.
+    /// the next run's epoch bump discards) and the plan, the scratch and
+    /// the pool all remain usable.
     pub fn try_run_in<B: LoopBody>(
         &self,
-        scratch: &LoopScratch,
+        scratch: &mut LoopScratch,
         pool: &WorkerPool,
         policy: ExecPolicy,
         body: &B,
         out: &mut [f64],
         cancel: Option<&CancelToken>,
     ) -> std::result::Result<ExecReport, ExecError> {
-        assert_eq!(scratch.n(), self.n(), "scratch sized for another plan");
         assert_eq!(
-            scratch.nprocs(),
-            self.nprocs(),
-            "scratch sized for another processor count"
+            (scratch.n(), scratch.nprocs()),
+            (self.n(), self.nprocs()),
+            "scratch sized for another plan"
         );
-        assert!(
-            scratch
-                .running
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok(),
-            "PlannedLoop run started while another run on this scratch is in progress"
-        );
-        let _guard = RunGuard(&scratch.running);
-        match policy {
-            ExecPolicy::SelfExecuting => crate::selfexec::self_executing_core(
-                pool,
-                &self.schedule,
-                &scratch.shared,
-                &scratch.iters,
-                &|i, src| body.eval(i, src),
-                out,
-                cancel,
-            ),
-            ExecPolicy::PreScheduled => crate::presched::pre_scheduled_core(
-                pool,
-                &self.schedule,
-                &self.full_barriers,
-                &scratch.shared,
-                &scratch.iters,
-                &|i, src| body.eval(i, src),
-                out,
-                cancel,
-            ),
-            ExecPolicy::PreScheduledElided => crate::presched::pre_scheduled_core(
-                pool,
-                &self.schedule,
-                &self.barriers,
-                &scratch.shared,
-                &scratch.iters,
-                &|i, src| body.eval(i, src),
-                out,
-                cancel,
-            ),
+        assert_eq!(out.len(), self.n());
+        let lists = Some(&self.schedule);
+        let waiting = BodyKernel {
+            lists,
+            body: &|i, src: &WaitingSource<'_>| body.eval(i, src),
+        };
+        let published = BodyKernel {
+            lists,
+            body: &|i, src: &PublishedSource<'_>| body.eval(i, src),
+        };
+        let run = Run {
+            pool,
+            scratch,
+            cancel,
+        };
+        let report = match policy {
+            ExecPolicy::SelfExecuting => run.list_walk(&waiting),
+            ExecPolicy::PreScheduled => run.phase_walk(&published, &self.full_barriers),
+            ExecPolicy::PreScheduledElided => run.phase_walk(&published, &self.barriers),
             ExecPolicy::Doacross => {
                 assert!(
                     self.graph.is_forward(),
                     "the doacross policy requires a forward dependence graph"
                 );
-                crate::doacross::doacross_core(
-                    pool,
-                    self.schedule.n(),
-                    &scratch.shared,
-                    &scratch.iters,
-                    &|i, src| body.eval(i, src),
-                    out,
-                    cancel,
-                )
+                run.stripe_walk(&waiting)
             }
-        }
+        }?;
+        scratch.shared.copy_into(out);
+        Ok(report)
     }
 
     /// Executes the loop body sequentially in natural index order — the
@@ -492,11 +408,11 @@ mod tests {
         let n = l.nrows();
         let plan = mesh_plan(6, 6, 2);
         let pool = WorkerPool::new(2);
-        let scratch = plan.scratch();
+        let mut scratch = plan.scratch();
         for policy in ExecPolicy::ALL {
             let mut out = vec![0.0; n];
             let err = plan
-                .try_run_in(&scratch, &pool, policy, &PanicAt(n / 2), &mut out, None)
+                .try_run_in(&mut scratch, &pool, policy, &PanicAt(n / 2), &mut out, None)
                 .unwrap_err();
             assert!(
                 matches!(err, ExecError::BodyPanicked { workers } if workers >= 1),
@@ -510,7 +426,7 @@ mod tests {
         solve_lower(&l, &b, Diag::Unit, &mut expect).unwrap();
         let mut out = vec![0.0; n];
         plan.try_run_in(
-            &scratch,
+            &mut scratch,
             &pool,
             ExecPolicy::SelfExecuting,
             &Solve { l: &l, b: &b },
@@ -530,12 +446,12 @@ mod tests {
         let plan = mesh_plan(8, 8, 2);
         let pool = WorkerPool::new(2);
         let token = CancelToken::with_deadline(std::time::Instant::now());
-        let scratch = plan.scratch();
+        let mut scratch = plan.scratch();
         for policy in ExecPolicy::ALL {
             let mut out = vec![0.0; n];
             let err = plan
                 .try_run_in(
-                    &scratch,
+                    &mut scratch,
                     &pool,
                     policy,
                     &Solve { l: &l, b: &b },
@@ -549,7 +465,7 @@ mod tests {
         let live = CancelToken::new();
         let mut out = vec![0.0; n];
         plan.try_run_in(
-            &scratch,
+            &mut scratch,
             &pool,
             ExecPolicy::SelfExecuting,
             &Solve { l: &l, b: &b },
@@ -560,6 +476,68 @@ mod tests {
         let mut expect = vec![0.0; n];
         solve_lower(&l, &b, Diag::Unit, &mut expect).unwrap();
         assert_eq!(out, expect);
+    }
+
+    /// Cancellation cadence is a property of the protocol, not of phase
+    /// boundaries: one wavefront means one phase and no interior boundary,
+    /// yet a token fired mid-phase must still stop the run within
+    /// `CHECK_STRIDE` positions of the observing worker.
+    #[test]
+    fn pre_scheduled_run_observes_cancellation_inside_a_phase() {
+        use crate::cancel::{CancelToken, ExecError, CHECK_STRIDE};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        struct CancelAt<'a> {
+            trigger: usize,
+            token: &'a CancelToken,
+            evals: &'a AtomicUsize,
+        }
+        impl LoopBody for CancelAt<'_> {
+            fn eval<S: ValueSource>(&self, i: usize, _src: &S) -> f64 {
+                self.evals.fetch_add(1, Ordering::Relaxed);
+                if i == self.trigger {
+                    self.token.cancel();
+                }
+                i as f64
+            }
+        }
+        struct Index;
+        impl LoopBody for Index {
+            fn eval<S: ValueSource>(&self, i: usize, _src: &S) -> f64 {
+                i as f64
+            }
+        }
+        let n = 8192;
+        let g = DepGraph::from_lists(n, vec![vec![]; n]).unwrap();
+        let wf = Wavefronts::compute(&g).unwrap();
+        let plan = PlannedLoop::new(g, Schedule::global(&wf, 2).unwrap()).unwrap();
+        assert_eq!(plan.num_phases(), 1);
+        let share0 = plan.schedule().proc(0).len();
+        let pool = WorkerPool::new(2);
+        let mut scratch = plan.scratch();
+        for policy in [ExecPolicy::PreScheduled, ExecPolicy::PreScheduledElided] {
+            let token = CancelToken::new();
+            let evals = AtomicUsize::new(0);
+            let body = CancelAt {
+                trigger: plan.schedule().proc(0)[0] as usize,
+                token: &token,
+                evals: &evals,
+            };
+            let mut out = vec![-1.0; n];
+            let err = plan
+                .try_run_in(&mut scratch, &pool, policy, &body, &mut out, Some(&token))
+                .unwrap_err();
+            assert_eq!(err, ExecError::Cancelled, "{policy:?}");
+            assert_eq!(out, vec![-1.0; n], "{policy:?}: out must be untouched");
+            let evals = evals.load(Ordering::Relaxed);
+            assert!(
+                evals <= n - (share0 - 1 - CHECK_STRIDE),
+                "{policy:?}: {evals} evaluations — processor 0 ran past its stride"
+            );
+            // The same scratch serves the next run exactly.
+            plan.try_run_in(&mut scratch, &pool, policy, &Index, &mut out, None)
+                .unwrap();
+            assert_eq!(out, (0..n).map(|i| i as f64).collect::<Vec<_>>());
+        }
     }
 
     #[test]

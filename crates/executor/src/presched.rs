@@ -16,100 +16,15 @@
 //! read without any per-value check in phases `> w`. Cheap per element, but
 //! the whole machine waits for the slowest processor of every phase — the
 //! end-effect load imbalance analyzed in §4. The elided variant keeps only
-//! the barriers a [`BarrierPlan`] proves necessary.
+//! the barriers a [`BarrierPlan`] proves necessary. Both are
+//! `protocol::phase_walk` — the phase walk of the crate's one
+//! synchronization protocol — under a full or a minimal plan.
 
-use crate::barrier::SpinBarrier;
-use crate::cancel::{CancelToken, ExecError, InterruptCell};
 use crate::pool::WorkerPool;
+use crate::protocol;
 use crate::report::ExecReport;
-use crate::shared::{PublishedSource, SharedVec};
+use crate::shared::PublishedSource;
 use rtpl_inspector::{BarrierPlan, Schedule};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-/// Core of both pre-scheduled variants over caller-provided buffers: runs
-/// every phase slice, synchronizing at the interior boundaries `plan`
-/// keeps. `BarrierPlan::full` reproduces the plain Figure 5 executor.
-/// Cancellation is consulted at each phase boundary (the executor's
-/// natural synchronization points); a body panic or an observed
-/// cancellation poisons both the barrier and the shared vector and
-/// surfaces as a typed [`ExecError`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pre_scheduled_core<F>(
-    pool: &WorkerPool,
-    schedule: &Schedule,
-    plan: &BarrierPlan,
-    shared: &SharedVec,
-    iters: &[AtomicU64],
-    body: &F,
-    out: &mut [f64],
-    cancel: Option<&CancelToken>,
-) -> Result<ExecReport, ExecError>
-where
-    F: for<'s> Fn(usize, &PublishedSource<'s>) -> f64 + Sync,
-{
-    assert_eq!(
-        schedule.nprocs(),
-        pool.nworkers(),
-        "schedule processor count must match the pool"
-    );
-    assert_eq!(out.len(), schedule.n());
-    assert_eq!(shared.len(), schedule.n());
-    let num_phases = schedule.num_phases();
-    assert_eq!(plan.len(), num_phases.saturating_sub(1));
-    let epoch = shared.begin_run();
-    let barrier = SpinBarrier::new(pool.nworkers());
-    let interrupted = InterruptCell::new();
-    let t0 = Instant::now();
-    let ran = pool.run(&|p| {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let src = PublishedSource::new(shared, epoch);
-            let mut count = 0u64;
-            for w in 0..num_phases {
-                if let Some(cause) = cancel.and_then(CancelToken::check) {
-                    interrupted.set(cause);
-                    barrier.poison();
-                    shared.poison();
-                    return;
-                }
-                for &i in schedule.phase_slice(p, w) {
-                    let i = i as usize;
-                    let v = body(i, &src);
-                    shared.publish_at(i, v, epoch);
-                    count += 1;
-                }
-                // Figure 5 line 1d: end-of-phase global synchronization.
-                // The final join of `pool.run` covers the last phase.
-                if w + 1 < num_phases && plan.is_kept(w) {
-                    barrier.wait();
-                }
-            }
-            iters[p].store(count, Ordering::Relaxed);
-        }));
-        if let Err(e) = outcome {
-            // Release peers parked at the barrier before re-panicking.
-            barrier.poison();
-            shared.poison();
-            std::panic::resume_unwind(e);
-        }
-    });
-    let wall = t0.elapsed();
-    // Peers released by the poisoned barrier die on the poison panic, so
-    // the recorded interrupt cause takes precedence over the panic count.
-    if let Some(cause) = interrupted.get() {
-        return Err(cause);
-    }
-    ran.map_err(|e| ExecError::BodyPanicked {
-        workers: e.panicked,
-    })?;
-    shared.copy_into_at(out, epoch);
-    Ok(ExecReport {
-        barriers: plan.count() as u64,
-        stalls: 0,
-        iters_per_proc: iters.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-        wall,
-    })
-}
 
 /// Runs `body` over all indices of `schedule` with one global barrier
 /// between consecutive phases; results are written to `out`.
@@ -127,11 +42,13 @@ pub fn pre_scheduled<F>(
 where
     F: for<'s> Fn(usize, &PublishedSource<'s>) -> f64 + Sync,
 {
-    let plan = BarrierPlan::full(schedule.num_phases());
-    let shared = SharedVec::new(schedule.n());
-    let iters: Vec<AtomicU64> = (0..pool.nworkers()).map(|_| AtomicU64::new(0)).collect();
-    pre_scheduled_core(pool, schedule, &plan, &shared, &iters, body, out, None)
-        .unwrap_or_else(|e| panic!("{e}"))
+    pre_scheduled_elided(
+        pool,
+        schedule,
+        &BarrierPlan::full(schedule.num_phases()),
+        body,
+        out,
+    )
 }
 
 /// Pre-scheduled execution with **barrier elision**: only the barriers the
@@ -149,10 +66,9 @@ pub fn pre_scheduled_elided<F>(
 where
     F: for<'s> Fn(usize, &PublishedSource<'s>) -> f64 + Sync,
 {
-    let shared = SharedVec::new(schedule.n());
-    let iters: Vec<AtomicU64> = (0..pool.nworkers()).map(|_| AtomicU64::new(0)).collect();
-    pre_scheduled_core(pool, schedule, plan, &shared, &iters, body, out, None)
-        .unwrap_or_else(|e| panic!("{e}"))
+    protocol::one_shot(pool, Some(schedule), body, out, |run, kernel| {
+        run.phase_walk(kernel, plan)
+    })
 }
 
 #[cfg(test)]

@@ -14,90 +14,15 @@
 //! indices' results busy-wait on the shared ready array, so work in
 //! consecutive wavefronts **pipelines**: an index may start as soon as its
 //! own operands exist, not when the whole previous wavefront is done. This
-//! is the paper's recommended executor.
+//! is the paper's recommended executor. The loop itself is
+//! `protocol::list_walk` — the list-order walk of the crate's one
+//! synchronization protocol — run here over a scratch built for the call.
 
-use crate::cancel::{CancelToken, ExecError, InterruptCell, CHECK_STRIDE};
 use crate::pool::WorkerPool;
+use crate::protocol;
 use crate::report::ExecReport;
-use crate::shared::{SharedVec, WaitingSource};
+use crate::shared::WaitingSource;
 use rtpl_inspector::Schedule;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-/// The discipline's core loop over caller-provided buffers; used both by
-/// the free function below and by [`crate::PlannedLoop`] (which reuses its
-/// own buffers across runs). A body panic or an observed cancellation
-/// poisons the shared vector (releasing busy-waiting peers) and surfaces
-/// as a typed [`ExecError`]; the worker threads always survive.
-pub(crate) fn self_executing_core<F>(
-    pool: &WorkerPool,
-    schedule: &Schedule,
-    shared: &SharedVec,
-    iters: &[AtomicU64],
-    body: &F,
-    out: &mut [f64],
-    cancel: Option<&CancelToken>,
-) -> Result<ExecReport, ExecError>
-where
-    F: for<'s> Fn(usize, &WaitingSource<'s>) -> f64 + Sync,
-{
-    assert_eq!(
-        schedule.nprocs(),
-        pool.nworkers(),
-        "schedule processor count must match the pool"
-    );
-    assert_eq!(out.len(), schedule.n());
-    assert_eq!(shared.len(), schedule.n());
-    let epoch = shared.begin_run();
-    let stalls = AtomicU64::new(0);
-    let interrupted = InterruptCell::new();
-    let t0 = Instant::now();
-    let ran = pool.run(&|p| {
-        // Poison the shared vector if this worker's body panics, so peers
-        // busy-waiting on values it would have produced fail cleanly
-        // instead of spinning forever.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let src = WaitingSource::new(shared, epoch);
-            let mut count = 0u64;
-            for (k, &i) in schedule.proc(p).iter().enumerate() {
-                if k % CHECK_STRIDE == 0 {
-                    if let Some(cause) = cancel.and_then(CancelToken::check) {
-                        interrupted.set(cause);
-                        shared.poison();
-                        return;
-                    }
-                }
-                let i = i as usize;
-                let v = body(i, &src);
-                shared.publish_at(i, v, epoch);
-                count += 1;
-            }
-            iters[p].store(count, Ordering::Relaxed);
-            stalls.fetch_add(src.stalls(), Ordering::Relaxed);
-        }));
-        if let Err(e) = outcome {
-            shared.poison();
-            std::panic::resume_unwind(e);
-        }
-    });
-    let wall = t0.elapsed();
-    // A cancelling worker poisons the buffer, so peers die on the poison
-    // panic and inflate the pool's panic count — the recorded cause, not
-    // the collateral panics, names the failure.
-    if let Some(cause) = interrupted.get() {
-        return Err(cause);
-    }
-    ran.map_err(|e| ExecError::BodyPanicked {
-        workers: e.panicked,
-    })?;
-    shared.copy_into_at(out, epoch);
-    Ok(ExecReport {
-        barriers: 0,
-        stalls: stalls.load(Ordering::Relaxed),
-        iters_per_proc: iters.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-        wall,
-    })
-}
 
 /// Runs `body` over all indices of `schedule` with busy-wait
 /// synchronization; results are written to `out`.
@@ -134,10 +59,9 @@ pub fn self_executing<F>(
 where
     F: for<'s> Fn(usize, &WaitingSource<'s>) -> f64 + Sync,
 {
-    let shared = SharedVec::new(schedule.n());
-    let iters: Vec<AtomicU64> = (0..pool.nworkers()).map(|_| AtomicU64::new(0)).collect();
-    self_executing_core(pool, schedule, &shared, &iters, body, out, None)
-        .unwrap_or_else(|e| panic!("{e}"))
+    protocol::one_shot(pool, Some(schedule), body, out, |run, kernel| {
+        run.list_walk(kernel)
+    })
 }
 
 #[cfg(test)]

@@ -11,13 +11,15 @@
 //!
 //! Progress: chunks are claimed in topological-list order and each worker
 //! processes its chunk in order, so the globally earliest unfinished index
-//! always has its dependences complete and an owner that can run it.
+//! always has its dependences complete and an owner that can run it. The
+//! loop is `protocol::claim_walk` of the crate's one synchronization
+//! protocol, so a panicking body is contained like in every other
+//! discipline: busy-waiting peers are released and the pool survives.
 
 use crate::pool::WorkerPool;
+use crate::protocol;
 use crate::report::ExecReport;
-use crate::shared::{SharedVec, WaitingSource};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Instant;
+use crate::shared::WaitingSource;
 
 /// Chunk-size policy for dynamic claiming.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,81 +52,13 @@ pub fn self_scheduling<F>(
 where
     F: for<'s> Fn(usize, &WaitingSource<'s>) -> f64 + Sync,
 {
-    let n = order.len();
-    assert_eq!(out.len(), n);
     if let Chunking::Fixed(k) = chunking {
         assert!(k >= 1, "fixed chunk size must be >= 1");
     }
-    let nprocs = pool.nworkers();
-    let shared = SharedVec::new(n);
-    let epoch = shared.begin_run();
-    let iters: Vec<AtomicU64> = (0..nprocs).map(|_| AtomicU64::new(0)).collect();
-    let cursor = AtomicUsize::new(0);
-    let stalls = AtomicU64::new(0);
-    let t0 = Instant::now();
-    pool.run(&|p| {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let src = WaitingSource::new(&shared, epoch);
-            let mut count = 0u64;
-            loop {
-                // Claim the next chunk [lo, hi).
-                let lo = match chunking {
-                    Chunking::Unit => cursor.fetch_add(1, Ordering::Relaxed),
-                    Chunking::Fixed(k) => cursor.fetch_add(k, Ordering::Relaxed),
-                    Chunking::Guided => {
-                        // CAS loop recomputing the guided chunk from `remaining`.
-                        let mut lo = cursor.load(Ordering::Relaxed);
-                        loop {
-                            if lo >= n {
-                                break;
-                            }
-                            let remaining = n - lo;
-                            let chunk = remaining.div_ceil(nprocs);
-                            match cursor.compare_exchange_weak(
-                                lo,
-                                lo + chunk,
-                                Ordering::Relaxed,
-                                Ordering::Relaxed,
-                            ) {
-                                Ok(_) => break,
-                                Err(cur) => lo = cur,
-                            }
-                        }
-                        lo
-                    }
-                };
-                if lo >= n {
-                    break;
-                }
-                let hi = match chunking {
-                    Chunking::Unit => lo + 1,
-                    Chunking::Fixed(k) => (lo + k).min(n),
-                    Chunking::Guided => (lo + (n - lo).div_ceil(nprocs)).min(n),
-                };
-                for &i in &order[lo..hi.min(n)] {
-                    let i = i as usize;
-                    let v = body(i, &src);
-                    shared.publish_at(i, v, epoch);
-                    count += 1;
-                }
-            }
-            iters[p].store(count, Ordering::Relaxed);
-            stalls.fetch_add(src.stalls(), Ordering::Relaxed);
-        }));
-        if let Err(e) = outcome {
-            shared.poison();
-            std::panic::resume_unwind(e);
-        }
+    assert_eq!(out.len(), order.len());
+    protocol::one_shot(pool, None, body, out, |run, kernel| {
+        run.claim_walk(kernel, order, chunking)
     })
-    .unwrap_or_else(|e| panic!("{e}"));
-    let wall = t0.elapsed();
-    shared.copy_into_at(out, epoch);
-    ExecReport {
-        barriers: 0,
-        stalls: stalls.load(Ordering::Relaxed),
-        iters_per_proc: iters.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-        wall,
-    }
 }
 
 #[cfg(test)]
@@ -191,6 +125,38 @@ mod tests {
             &mut out,
         );
         assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn panicking_body_is_contained_under_every_chunking() {
+        // A chain: whoever owns the index after the panicking one is
+        // busy-waiting on a value that will never be published.
+        let n = 64;
+        let order: Vec<u32> = (0..n as u32).collect();
+        let pool = WorkerPool::new(2);
+        let chain = |panic_at: usize| {
+            move |i: usize, src: &WaitingSource<'_>| {
+                assert!(i != panic_at, "poisoned row");
+                if i == 0 {
+                    1.0
+                } else {
+                    1.0 + src.get(i - 1)
+                }
+            }
+        };
+        for chunking in [Chunking::Unit, Chunking::Guided, Chunking::Fixed(4)] {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut out = vec![0.0; n];
+                self_scheduling(&pool, &order, chunking, &chain(n / 2), &mut out)
+            }));
+            let msg = *caught.unwrap_err().downcast::<String>().unwrap();
+            assert!(msg.contains("loop body panicked"), "{chunking:?}: {msg}");
+            assert!(pool.is_healthy(), "{chunking:?}");
+            let mut out = vec![0.0; n];
+            self_scheduling(&pool, &order, chunking, &chain(n), &mut out);
+            let expect: Vec<f64> = (1..=n).map(|i| i as f64).collect();
+            assert_eq!(out, expect, "{chunking:?}");
+        }
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //!
 //! The epoch stamping is what makes *plan-once / run-many* allocation-free:
 //! [`SharedVec::begin_run`] invalidates every previously published entry in
-//! O(1) by bumping the epoch, so a [`crate::PlannedLoop`] reuses one buffer
-//! across thousands of solver iterations without clearing `n` flags or
-//! allocating.
+//! O(1) by bumping the epoch, so a [`crate::LoopScratch`] serves thousands
+//! of solver iterations without clearing `n` flags or allocating.
 
 use crate::ValueSource;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};

@@ -577,7 +577,7 @@ impl Runtime {
         // scratch needed, but the in-flight use is still tracked so
         // `concurrent`/`peak_same_pattern` see every request; parallel
         // kinds lease one scratch and one pool for the whole group.
-        let leased = match kind.policy() {
+        let mut leased = match kind.policy() {
             None => None,
             Some(policy) => {
                 let (scratch, info) = entry.scratches.lease(|| entry.plan.scratch());
@@ -601,7 +601,7 @@ impl Runtime {
             };
             let token = job.deadline.map(CancelToken::with_deadline);
             let r = (|| {
-                let report = match &leased {
+                let report = match &mut leased {
                     None => {
                         // Sequential runs have no cancellation points; the
                         // deadline gates entry, and a panicking body

@@ -2,8 +2,9 @@
 //! executor's `verify-trace` hooks, replayed through the vector-clock
 //! checker.
 //!
-//! Healthy plans — every policy, several processor counts, random DAGs —
-//! must replay with **zero** unordered conflicting accesses; a
+//! Healthy plans — every policy, several processor counts, random DAGs,
+//! both the `PlannedLoop` and the `CompiledPlan` generation (one protocol,
+//! two kernels) — must replay with **zero** unordered conflicting accesses; a
 //! deliberately over-elided barrier plan must be flagged both statically
 //! (by [`rtpl_verify::verify_plan`]) and dynamically (by the oracle
 //! observing the unsynchronized read the missing barrier permits).
@@ -12,7 +13,9 @@
 #![cfg(feature = "verify-trace")]
 
 use rtpl_executor::trace;
-use rtpl_executor::{ExecPolicy, LoopBody, PlannedLoop, ValueSource, WorkerPool};
+use rtpl_executor::{
+    CompiledPlan, CompiledSpec, ExecPolicy, LoopBody, PlannedLoop, ValueSource, WorkerPool,
+};
 use rtpl_inspector::{BarrierPlan, DepGraph, Partition, Schedule, Wavefronts};
 use rtpl_sparse::rng::SmallRng;
 use rtpl_sparse::wire::{WireReader, WireWriter};
@@ -129,6 +132,60 @@ fn coalesced_plans_replay_race_free_across_policies_and_procs() {
     }
 }
 
+/// The compiled generation — what every served solve and linear job
+/// rides — under the same oracle: linear-recurrence layouts over a mesh
+/// and random DAGs, uncoalesced and coalesced, every policy × 1/2/4
+/// processors, replay race-free and bit-equal to the sequential sweep.
+#[test]
+fn compiled_plans_replay_race_free_across_policies_and_procs() {
+    let mesh = rtpl_sparse::gen::laplacian_5pt(7, 6).strict_lower();
+    let fixtures = [
+        ("mesh", DepGraph::from_lower_triangular(&mesh).unwrap()),
+        ("random 0x5EED", random_dag(48, 0x5EED)),
+        ("random 0xC0A1", random_dag(48, 0xC0A1)),
+    ];
+    for (name, g) in fixtures {
+        let n = g.n();
+        let spec = CompiledSpec::linear_from_graph(&g);
+        let coeffs: Vec<f64> = (0..g.num_edges())
+            .map(|k| 0.125 * (1 + k % 5) as f64)
+            .collect();
+        let rhs: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
+        let wf = Wavefronts::compute(&g).expect("acyclic");
+        for nprocs in [1usize, 2, 4] {
+            let plain = Schedule::local(&wf, &Partition::striped(n, nprocs).unwrap()).unwrap();
+            let (coalesced, _) = plain.coalesce(&g, 64.0).unwrap();
+            let pool = WorkerPool::new(nprocs);
+            for (shape, schedule) in [("plain", plain), ("coalesced", coalesced)] {
+                let plan = PlannedLoop::new(g.clone(), schedule).unwrap();
+                let compiled = CompiledPlan::compile(&plan, &spec).unwrap();
+                let mut scratch = compiled.scratch();
+                compiled.load_values(&mut scratch, &coeffs).unwrap();
+                let mut expect = vec![0.0; n];
+                compiled.run_sequential(&mut scratch, &rhs, &mut expect);
+                for policy in POLICIES {
+                    let what = format!("{name} {shape} {policy:?} x{nprocs}");
+                    let mut out = vec![0.0; n];
+                    let (result, events) = trace::capture(|| {
+                        compiled.try_run(&pool, policy, &mut scratch, &rhs, &mut out, None)
+                    });
+                    result.unwrap_or_else(|e| panic!("{what}: {e}"));
+                    let report =
+                        check_trace(nprocs, &events).unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert!(
+                        report.writes >= n,
+                        "{what}: {} writes traced for {n} rows",
+                        report.writes
+                    );
+                    assert_eq!(report.incomplete_barriers, 0, "{what}");
+                    let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&out), bits(&expect), "{what}");
+                }
+            }
+        }
+    }
+}
+
 /// The phase-merge invariant, attacked: a dependence placed *inside* one
 /// phase but across processors has no happens-before edge at all — the
 /// static verifier must refuse it, and if run anyway the oracle must see
@@ -213,10 +270,10 @@ fn cancelled_run_replays_without_false_positives() {
     let token = CancelToken::new();
     token.cancel();
     let mut out = vec![0.0; n];
-    let scratch = plan.scratch();
+    let mut scratch = plan.scratch();
     let (result, events) = trace::capture(|| {
         plan.try_run_in(
-            &scratch,
+            &mut scratch,
             &pool,
             ExecPolicy::PreScheduled,
             &body,
@@ -230,6 +287,44 @@ fn cancelled_run_replays_without_false_positives() {
     assert_eq!(
         report.reads, 0,
         "no phase ran, so nothing should have been read"
+    );
+}
+
+/// The compiled twin of the test above: same protocol, layout kernel.
+#[test]
+fn cancelled_compiled_run_replays_without_false_positives() {
+    use rtpl_executor::CancelToken;
+    let n = 64;
+    let g = random_dag(n, 0x7E57);
+    let wf = Wavefronts::compute(&g).expect("acyclic");
+    let schedule = Schedule::local(&wf, &Partition::striped(n, 2).unwrap()).unwrap();
+    let plan = PlannedLoop::new(g.clone(), schedule).unwrap();
+    let compiled = CompiledPlan::compile(&plan, &CompiledSpec::linear_from_graph(&g)).unwrap();
+    let mut scratch = compiled.scratch();
+    compiled
+        .load_values(&mut scratch, &vec![0.5; g.num_edges()])
+        .unwrap();
+    let pool = WorkerPool::new(2);
+    let token = CancelToken::new();
+    token.cancel();
+    let rhs = vec![1.0; n];
+    let mut out = vec![0.0; n];
+    let (result, events) = trace::capture(|| {
+        compiled.try_run(
+            &pool,
+            ExecPolicy::PreScheduled,
+            &mut scratch,
+            &rhs,
+            &mut out,
+            Some(&token),
+        )
+    });
+    assert!(result.is_err(), "a pre-cancelled run must not succeed");
+    let report = check_trace(2, &events)
+        .unwrap_or_else(|e| panic!("false positive on a cancelled run: {e}"));
+    assert_eq!(
+        report.reads, 0,
+        "no position ran, so nothing should have been read"
     );
 }
 

@@ -16,7 +16,9 @@
 //! 3. **Atomic orderings stay where they are reviewed** — files using
 //!    `Ordering::{Relaxed,Acquire,Release,AcqRel,SeqCst}` must be on the
 //!    in-lint allowlist (the modules whose protocols are documented);
-//!    anywhere else each use needs an `// ORDERING:` comment.
+//!    anywhere else each use needs an `// ORDERING:` comment. The
+//!    allowlist cannot rot: an entry whose file is gone, or no longer
+//!    uses an atomic ordering outside test code, is itself a finding.
 //! 4. **No `static mut`**, anywhere, ever.
 //!
 //! Exit status 0 when clean; 1 with one `path:line: rule: message` per
@@ -31,15 +33,8 @@ use std::path::{Path, PathBuf};
 const ORDERING_ALLOWLIST: &[&str] = &[
     "crates/executor/src/barrier.rs",
     "crates/executor/src/cancel.rs",
-    "crates/executor/src/compiled.rs",
-    "crates/executor/src/doacross.rs",
-    "crates/executor/src/doall.rs",
-    "crates/executor/src/planned.rs",
-    "crates/executor/src/pool.rs",
-    "crates/executor/src/presched.rs",
+    "crates/executor/src/protocol.rs",
     "crates/executor/src/rows.rs",
-    "crates/executor/src/selfexec.rs",
-    "crates/executor/src/selfsched.rs",
     "crates/executor/src/shared.rs",
     "crates/executor/src/trace.rs",
     "crates/inspector/src/wavefront.rs",
@@ -87,6 +82,10 @@ fn main() {
             Ok(src) => lint_file(rel, &src, &mut findings),
             Err(e) => findings.push(format!("{}:0: io: cannot read: {e}", rel.display())),
         }
+    }
+    for rel in ORDERING_ALLOWLIST {
+        let src = std::fs::read_to_string(root.join(rel)).ok();
+        findings.extend(stale_allowlist_entry(rel, src.as_deref()));
     }
 
     if findings.is_empty() {
@@ -227,6 +226,24 @@ fn lint_file(rel: &Path, src: &str, findings: &mut Vec<String>) {
             }
         }
     }
+}
+
+/// Rule 3's other half: an allowlist entry must still earn its place.
+/// `src` is the file's content, `None` if it cannot be read.
+fn stale_allowlist_entry(rel: &str, src: Option<&str>) -> Option<String> {
+    let why = match src {
+        None => "the file does not exist",
+        Some(src) => {
+            let masked = mask_tests(&mask_lexical(src));
+            if ATOMIC_ORDERINGS.iter().any(|pat| masked.contains(pat)) {
+                return None;
+            }
+            "the file uses no atomic ordering outside test code"
+        }
+    };
+    Some(format!(
+        "{rel}:0: ordering-allowlist-stale: {why} — remove it from rtpl-lint's allowlist"
+    ))
 }
 
 /// Byte offsets of every occurrence of `pat` in `s`.
@@ -495,5 +512,17 @@ mod tests {
             &mut findings,
         );
         assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    #[test]
+    fn allowlist_entries_must_still_use_an_ordering() {
+        let rel = "crates/runtime/src/x.rs";
+        let gone = stale_allowlist_entry(rel, None).expect("missing file is stale");
+        assert!(gone.contains("ordering-allowlist-stale"), "{gone}");
+        let only_in_tests = "fn f() {}\n#[cfg(test)]\nmod tests {\n    \
+                             fn g() { X.load(Ordering::Relaxed); }\n}\n// Ordering::Acquire\n";
+        assert!(stale_allowlist_entry(rel, Some(only_in_tests)).is_some());
+        let live = "fn f() { X.store(1, Ordering::Release); }\n";
+        assert_eq!(stale_allowlist_entry(rel, Some(live)), None);
     }
 }
