@@ -14,7 +14,8 @@
 //! Run with: `cargo bench --bench executors`
 
 use rtpl::executor::{
-    Chunking, ExecPolicy, LoopBody, PlannedLoop, SharedVec, ValueSource, WaitingSource, WorkerPool,
+    Chunking, ExecutorKind, LoopBody, PlannedLoop, SharedVec, ValueSource, WaitingSource,
+    WorkerPool,
 };
 use rtpl::inspector::{DepGraph, Schedule, Wavefronts};
 use rtpl::sparse::gen::laplacian_5pt;
@@ -78,31 +79,43 @@ fn main() {
     println!("executors_32x32 (p = {nprocs})");
     let mut x = vec![0.0; n];
     bench_case("sequential", 5, 30, || {
-        plan.run_sequential(&body, &mut x);
+        plan.run(None, ExecutorKind::Sequential, &body, &mut x);
     });
     bench_case(&format!("self_executing_p{nprocs}"), 5, 30, || {
         plan.run_in(
             &mut scratch,
-            &pool,
-            ExecPolicy::SelfExecuting,
+            Some(&pool),
+            ExecutorKind::SelfExecuting,
             &body,
             &mut x,
         );
     });
     bench_case(&format!("pre_scheduled_p{nprocs}"), 5, 30, || {
-        plan.run_in(&mut scratch, &pool, ExecPolicy::PreScheduled, &body, &mut x);
+        plan.run_in(
+            &mut scratch,
+            Some(&pool),
+            ExecutorKind::PreScheduled,
+            &body,
+            &mut x,
+        );
     });
     bench_case(&format!("pre_scheduled_elided_p{nprocs}"), 5, 30, || {
         plan.run_in(
             &mut scratch,
-            &pool,
-            ExecPolicy::PreScheduledElided,
+            Some(&pool),
+            ExecutorKind::PreScheduledElided,
             &body,
             &mut x,
         );
     });
     bench_case(&format!("doacross_p{nprocs}"), 5, 30, || {
-        plan.run_in(&mut scratch, &pool, ExecPolicy::Doacross, &body, &mut x);
+        plan.run_in(
+            &mut scratch,
+            Some(&pool),
+            ExecutorKind::Doacross,
+            &body,
+            &mut x,
+        );
     });
     let order = wf.sorted_list();
     bench_case(&format!("self_scheduling_guided_p{nprocs}"), 5, 30, || {
@@ -120,8 +133,8 @@ fn main() {
     let t_static = bench_case("generic (static dispatch)", 5, 50, || {
         plan.run_in(
             &mut scratch,
-            &pool,
-            ExecPolicy::SelfExecuting,
+            Some(&pool),
+            ExecutorKind::SelfExecuting,
             &body,
             &mut x,
         );

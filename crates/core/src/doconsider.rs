@@ -7,52 +7,21 @@
 //!    ([`DoConsider::inspect`]),
 //! 3. the loop is transformed into its executable form ([`PlannedLoop`]),
 //! 4. wavefronts are computed and indices sorted / repartitioned
-//!    ([`DoConsider::schedule`]),
+//!    ([`DoConsider::schedule`] under a [`Sorting`]),
 //! 5. each processor executes its assigned subset with the generated
-//!    executor ([`PlannedLoop::run`] under the chosen
-//!    [`ExecPolicy`]).
+//!    executor ([`PlannedLoop::run`] under the chosen [`ExecutorKind`]).
 //!
 //! The planned loop owns everything reusable across executions (schedule,
-//! barrier plan, shared ready-flag buffer), so the paper's amortization —
-//! one inspection, many runs — holds with zero per-run allocation.
+//! barrier plan), and a caller-held scratch carries the run state, so the
+//! paper's amortization — one inspection, many runs — holds with zero
+//! per-run allocation ([`PlannedLoop::run_in`]).
 
 use rtpl_executor::{ExecReport, WorkerPool};
-use rtpl_inspector::{DepGraph, Partition, Result, Schedule, Wavefronts};
+use rtpl_inspector::{DepGraph, Result, Wavefronts};
 use rtpl_sparse::Csr;
 
-pub use rtpl_executor::{ExecPolicy, LoopBody, PlannedLoop};
-
-/// Index-set sorting/partitioning strategy (the paper's two schedulers).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scheduling {
-    /// Global topological sort, wrapped assignment — balances every
-    /// wavefront at the highest inspector cost.
-    Global,
-    /// Fixed striped partition (`i mod p`), local wavefront sort only.
-    LocalStriped,
-    /// Fixed contiguous partition, local wavefront sort only.
-    LocalContiguous,
-}
-
-impl Scheduling {
-    /// All strategies, for exhaustive sweeps.
-    pub const ALL: [Scheduling; 3] = [
-        Scheduling::Global,
-        Scheduling::LocalStriped,
-        Scheduling::LocalContiguous,
-    ];
-
-    /// Builds the schedule this strategy prescribes for `nprocs`
-    /// processors over the `n`-index wavefront decomposition `wf` — the
-    /// single home of the strategy → schedule mapping.
-    pub fn build_schedule(self, wf: &Wavefronts, n: usize, nprocs: usize) -> Result<Schedule> {
-        match self {
-            Scheduling::Global => Schedule::global(wf, nprocs),
-            Scheduling::LocalStriped => Schedule::local(wf, &Partition::striped(n, nprocs)?),
-            Scheduling::LocalContiguous => Schedule::local(wf, &Partition::contiguous(n, nprocs)?),
-        }
-    }
-}
+pub use rtpl_executor::{ExecutorKind, LoopBody, PlannedLoop};
+pub use rtpl_inspector::Sorting;
 
 /// The inspector: a dependence graph plus its wavefront decomposition.
 #[derive(Clone, Debug)]
@@ -101,12 +70,13 @@ impl DoConsider {
         self.wavefronts.num_wavefronts()
     }
 
-    /// Builds an execution plan for `nprocs` processors. The returned
-    /// [`PlannedLoop`] runs any [`ExecPolicy`] and is reusable across
-    /// arbitrarily many executions.
-    pub fn schedule(self, strategy: Scheduling, nprocs: usize) -> Result<PlannedLoop> {
-        let schedule = strategy.build_schedule(&self.wavefronts, self.graph.n(), nprocs)?;
-        PlannedLoop::new(self.graph, schedule)
+    /// Builds an execution plan for `nprocs` processors, sorted the way
+    /// `sorting` prescribes ([`PlannedLoop::build`], no coalescing). The
+    /// returned [`PlannedLoop`] runs under any [`ExecutorKind`] and is
+    /// reusable across arbitrarily many executions.
+    pub fn schedule(&self, sorting: Sorting, nprocs: usize) -> Result<PlannedLoop> {
+        let graph = self.graph.clone();
+        Ok(PlannedLoop::build(graph, &self.wavefronts, sorting, nprocs, None)?.0)
     }
 
     /// Emits the **cacheable** analysis product for the runtime service
@@ -170,12 +140,12 @@ mod tests {
             DepGraph::from_lists(5, vec![vec![], vec![0], vec![0], vec![1, 2], vec![3]]).unwrap();
         let dc = DoConsider::inspect(g).unwrap();
         assert_eq!(dc.num_wavefronts(), 4);
-        let plan = dc.schedule(Scheduling::Global, 2).unwrap();
+        let plan = dc.schedule(Sorting::Global, 2).unwrap();
         let pool = WorkerPool::new(2);
         let mut out = vec![0.0; 5];
         plan.run(
-            &pool,
-            ExecPolicy::SelfExecuting,
+            Some(&pool),
+            ExecutorKind::SelfExecuting,
             &CountBody(plan.graph()),
             &mut out,
         );
@@ -247,11 +217,11 @@ mod tests {
         // Direct execution of the scheduled plan: the bit-exact reference.
         let plan = DoConsider::from_index_array(&ia)
             .unwrap()
-            .schedule(Scheduling::Global, 2)
+            .schedule(Sorting::Global, 2)
             .unwrap();
         let pool = WorkerPool::new(2);
         let mut direct = vec![0.0; 10];
-        plan.run(&pool, ExecPolicy::SelfExecuting, &body, &mut direct);
+        plan.run(Some(&pool), ExecutorKind::SelfExecuting, &body, &mut direct);
         // Same analysis, emitted as a cacheable spec and served twice.
         let rt = Runtime::new(RuntimeConfig {
             nprocs: 2,
@@ -282,14 +252,14 @@ mod tests {
             xold: &xold,
         };
         let mut results = Vec::new();
-        for strat in Scheduling::ALL {
+        for strat in Sorting::ALL {
             let plan = DoConsider::from_index_array(&ia)
                 .unwrap()
                 .schedule(strat, 3)
                 .unwrap();
-            for policy in ExecPolicy::ALL {
+            for policy in ExecutorKind::ALL {
                 let mut out = vec![0.0; 10];
-                plan.run(&pool, policy, &body, &mut out);
+                plan.run(Some(&pool), policy, &body, &mut out);
                 results.push(out);
             }
         }

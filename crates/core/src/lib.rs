@@ -19,7 +19,7 @@
 //! build a per-processor schedule) and an **executor** (run the schedule
 //! under any synchronization discipline). [`DoConsider`] is that pipeline;
 //! it produces a [`PlannedLoop`] that is planned **once** and then run as
-//! many times as the application iterates, under any [`ExecPolicy`],
+//! many times as the application iterates, under any [`ExecutorKind`],
 //! through one generic, statically dispatched entry point:
 //!
 //! ```
@@ -49,18 +49,21 @@
 //!
 //! // Inspector: dependence analysis + wavefront sort, planned once.
 //! let plan = DoConsider::from_index_array(&ia)?
-//!     .schedule(Scheduling::Global, 2)?;
+//!     .schedule(Sorting::Global, 2)?;
 //!
-//! // Executor: plan.run(pool, policy, body, out) -> ExecReport.
+//! // Executor: plan.run(pool, kind, body, out) -> ExecReport.
 //! let pool = WorkerPool::new(2);
 //! let mut x = vec![0.0; 6];
-//! let report = plan.run(&pool, ExecPolicy::SelfExecuting, &body, &mut x);
+//! let report = plan.run(Some(&pool), ExecutorKind::SelfExecuting, &body, &mut x);
 //! assert_eq!(x[0], 1.0 + 0.5 * 1.0);
 //! assert_eq!(report.total_iters(), 6);
 //!
-//! // Same loop, same plan, barrier discipline — identical results.
+//! // Same loop, same plan, barrier discipline — identical results; and
+//! // the natural-order loop, which needs no pool at all.
 //! let mut x2 = vec![0.0; 6];
-//! plan.run(&pool, ExecPolicy::PreScheduled, &body, &mut x2);
+//! plan.run(Some(&pool), ExecutorKind::PreScheduled, &body, &mut x2);
+//! assert_eq!(x, x2);
+//! plan.run(None, ExecutorKind::Sequential, &body, &mut x2);
 //! assert_eq!(x, x2);
 //! # Ok::<(), rtpl::inspector::InspectorError>(())
 //! ```
@@ -117,8 +120,8 @@
 //!
 //! | Module | Contents |
 //! |---|---|
-//! | [`inspector`] | dependence graphs, wavefronts, schedules |
-//! | [`executor`] | worker pool, barrier, the four executors, compiled layouts |
+//! | [`inspector`] | dependence graphs, wavefronts, schedules, `Sorting` |
+//! | [`executor`] | worker pool, barrier, `ExecutorKind` and its executors, `PlannedLoop::build`, compiled layouts |
 //! | [`sparse`] | CSR matrices, ILU factorization, generators |
 //! | [`krylov`] | PCGPAK substitute: CG/GMRES + parallel kernels, compiled triangular solves |
 //! | [`runtime`] | solver service: `Job` front door (single + batched), plan cache, adaptive policy |
@@ -127,6 +130,7 @@
 //! | [`verify`] | static plan/schedule verifier, compiled-layout audit, vector-clock race oracle |
 //! | [`sim`] | multiprocessor performance model (event + closed form) |
 //! | [`workload`] | the paper's test problems and synthetic generator |
+//! | [`transform`] | the §2.2 front end: [`compile`] turns a [`LoopProgram`] into a [`CompiledLoop`] — a `LoopBody` plus its inspection, run through the doors above |
 
 //!
 //! ## Failure model
@@ -157,13 +161,13 @@ pub use rtpl_sparse::failpoint;
 pub mod doconsider;
 pub mod transform;
 
-pub use doconsider::{dodynamic, DoConsider, ExecPolicy, LoopBody, PlannedLoop, Scheduling};
+pub use doconsider::{dodynamic, DoConsider, ExecutorKind, LoopBody, PlannedLoop, Sorting};
 pub use rtpl_executor::ExecReport;
-pub use transform::{compile, CompiledLoop, Env, ExecChoice, LoopSpec, Op};
+pub use transform::{compile, CompiledLoop, Env, LoopProgram, Op};
 
 /// Everything needed for typical use.
 pub mod prelude {
-    pub use crate::doconsider::{DoConsider, ExecPolicy, LoopBody, PlannedLoop, Scheduling};
+    pub use crate::doconsider::{DoConsider, ExecutorKind, LoopBody, PlannedLoop, Sorting};
     pub use rtpl_executor::{ExecReport, ValueSource, WorkerPool};
     pub use rtpl_inspector::{DepGraph, Partition, Schedule, Wavefronts};
     pub use rtpl_sparse::Csr;

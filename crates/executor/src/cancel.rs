@@ -1,13 +1,13 @@
 //! Cooperative cancellation and deadlines for executor runs.
 //!
 //! A [`CancelToken`] is a cheap, cloneable handle (an `Arc`'d flag plus an
-//! optional deadline instant) that every parallel discipline consults at
-//! one cadence: each worker polls it every [`CHECK_STRIDE`] positions of
-//! its own count, inside a pre-scheduled phase as in the busy-wait walks —
-//! so a run whose requester has given up (or whose deadline passed) stops
-//! occupying workers within a bounded number of iterations instead of
-//! running to completion into a buffer nobody will read. (The sequential
-//! sweeps have no cancellation points; callers gate entry on the token.)
+//! optional deadline instant) that every body-driven executor — the
+//! `Sequential` loop on the caller's thread included — polls every
+//! [`CHECK_STRIDE`] positions of a worker's own count, inside a
+//! pre-scheduled phase too, so a run whose requester has given up (or
+//! whose deadline passed) stops within a bounded number of iterations
+//! instead of running to completion into a buffer nobody will read. (The
+//! compiled sequential sweeps check the token on entry only.)
 //!
 //! Cancellation is *cooperative* and *containing*: the worker that
 //! observes the token poisons the run's shared buffers (releasing any
@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// How many positions a worker evaluates between token checks, under
-/// every parallel discipline — coarse enough that the disarmed check is
+/// every body-driven discipline — coarse enough that the disarmed check is
 /// negligible against a body evaluation, fine enough that a worker runs at
 /// most `CHECK_STRIDE` evaluations after the token fires.
 pub const CHECK_STRIDE: usize = 64;

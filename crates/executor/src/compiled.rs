@@ -37,18 +37,18 @@
 //!   concurrently** — exactly what a plan cache serving a Zipf-skewed
 //!   request mix needs.
 //!
-//! All four [`crate::ExecPolicy`] disciplines plus the sequential reference are
-//! available, and every one performs bit-identical per-row arithmetic
-//! (subtract operand products in spec order, then multiply the scale), so
-//! results are bit-exact across policies, processor counts, and against the
-//! uncompiled [`crate::PlannedLoop`] path. The parallel disciplines are not
-//! written here: [`CompiledPlan::try_run`] hands the layout kernel (a
+//! Every [`ExecutorKind`] runs a compiled plan, and every one performs
+//! bit-identical per-row arithmetic (subtract operand products in spec
+//! order, then multiply the scale), so results are bit-exact across
+//! executor kinds, processor counts, and against the uncompiled
+//! [`crate::PlannedLoop`] path. The parallel disciplines are not written here: [`CompiledPlan::try_run`] hands the layout kernel (a
 //! position is an offset into the execution-order arrays) to the same walk
 //! of the crate's one protocol (`protocol.rs`) that `PlannedLoop` uses.
-//! Only the sequential sweeps keep their own loops.
+//! Only the sequential sweeps keep their own loops; they are the hot path
+//! and check a run's token on entry only.
 
 use crate::cancel::{CancelToken, ExecError};
-use crate::planned::PlannedLoop;
+use crate::planned::{ExecutorKind, PlannedLoop};
 use crate::pool::WorkerPool;
 use crate::protocol::{Kernel, LoopScratch, Run};
 use crate::report::ExecReport;
@@ -516,11 +516,6 @@ impl CompiledPlan {
         self.nprocs
     }
 
-    /// Number of operand value slots (== gathered values per scratch).
-    pub fn num_operands(&self) -> usize {
-        self.val_src.len()
-    }
-
     /// Expected caller value-array length for [`CompiledPlan::load_values`].
     pub fn expected_values(&self) -> usize {
         self.nvals
@@ -639,20 +634,21 @@ impl CompiledPlan {
         assert_eq!(out.len(), self.n);
     }
 
-    /// Executes the compiled loop under `policy`. The scratch is borrowed
+    /// Executes the compiled loop under `kind` (`pool` may be `None` only
+    /// for [`ExecutorKind::Sequential`]). The scratch is borrowed
     /// exclusively, so concurrency misuse is impossible by construction —
     /// run the same plan from many threads by giving each its own scratch.
     /// Panics if a body evaluation panics; failure-containing callers use
     /// [`CompiledPlan::try_run`].
     pub fn run(
         &self,
-        pool: &WorkerPool,
-        policy: crate::ExecPolicy,
+        pool: Option<&WorkerPool>,
+        kind: ExecutorKind,
         scratch: &mut RunScratch,
         rhs: &[f64],
         out: &mut [f64],
     ) -> ExecReport {
-        self.try_run(pool, policy, scratch, rhs, out, None)
+        self.try_run(pool, kind, scratch, rhs, out, None)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -661,11 +657,11 @@ impl CompiledPlan {
     /// fail point) or a fired [`CancelToken`] yields a typed
     /// [`ExecError`] instead of unwinding. On error `out` is untouched;
     /// the plan, the scratch (after its next epoch bump), and the pool all
-    /// remain usable.
+    /// remain usable. The sequential sweep checks the token on entry only.
     pub fn try_run(
         &self,
-        pool: &WorkerPool,
-        policy: crate::ExecPolicy,
+        pool: Option<&WorkerPool>,
+        kind: ExecutorKind,
         scratch: &mut RunScratch,
         rhs: &[f64],
         out: &mut [f64],
@@ -683,11 +679,17 @@ impl CompiledPlan {
             scratch: &mut scratch.sync,
             cancel,
         };
-        let report = match policy {
-            crate::ExecPolicy::SelfExecuting => run.list_walk(&kernel),
-            crate::ExecPolicy::PreScheduled => run.phase_walk(&kernel, &self.full_barriers),
-            crate::ExecPolicy::PreScheduledElided => run.phase_walk(&kernel, &self.barriers),
-            crate::ExecPolicy::Doacross => {
+        let report = match kind {
+            ExecutorKind::Sequential => {
+                if let Some(cause) = cancel.and_then(CancelToken::check) {
+                    return Err(cause);
+                }
+                return Ok(self.run_sequential(scratch, rhs, out));
+            }
+            ExecutorKind::SelfExecuting => run.list_walk(&kernel),
+            ExecutorKind::PreScheduled => run.phase_walk(&kernel, &self.full_barriers),
+            ExecutorKind::PreScheduledElided => run.phase_walk(&kernel, &self.barriers),
+            ExecutorKind::Doacross => {
                 assert!(
                     self.forward,
                     "the doacross policy requires a forward dependence graph"
@@ -985,7 +987,7 @@ impl CompiledPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ExecPolicy, LoopBody, PlannedLoop, WorkerPool};
+    use crate::{ExecutorKind, LoopBody, PlannedLoop, WorkerPool};
     use rtpl_inspector::{DepGraph, Schedule, Wavefronts};
     use rtpl_sparse::gen::{laplacian_5pt, random_lower};
     use rtpl_sparse::Csr;
@@ -1057,15 +1059,15 @@ mod tests {
                 let mut seq = vec![0.0; n];
                 compiled.run_sequential(&mut scratch, &b, &mut seq);
                 let mut reference = vec![0.0; n];
-                plan.run_sequential(&body, &mut reference);
+                plan.run(None, ExecutorKind::Sequential, &body, &mut reference);
                 assert_eq!(seq, reference, "{name}/{nprocs}: sequential");
-                for policy in ExecPolicy::ALL {
+                for policy in ExecutorKind::ALL {
                     let mut out = vec![0.0; n];
-                    let report = compiled.run(&pool, policy, &mut scratch, &b, &mut out);
+                    let report = compiled.run(Some(&pool), policy, &mut scratch, &b, &mut out);
                     assert_eq!(out, reference, "{name}/{nprocs}/{policy:?}");
                     assert_eq!(report.total_iters() as usize, n);
                     let mut uncompiled = vec![0.0; n];
-                    plan.run(&pool, policy, &body, &mut uncompiled);
+                    plan.run(Some(&pool), policy, &body, &mut uncompiled);
                     assert_eq!(out, uncompiled, "{name}/{nprocs}/{policy:?} vs planned");
                 }
             }
@@ -1216,7 +1218,13 @@ mod tests {
                     compiled.load_values(&mut scratch, l.data()).unwrap();
                     for _ in 0..10 {
                         let mut out = vec![0.0; compiled.n()];
-                        compiled.run(&pool, ExecPolicy::SelfExecuting, &mut scratch, b, &mut out);
+                        compiled.run(
+                            Some(&pool),
+                            ExecutorKind::SelfExecuting,
+                            &mut scratch,
+                            b,
+                            &mut out,
+                        );
                         assert_eq!(&out, expect);
                     }
                 });
@@ -1243,14 +1251,19 @@ mod tests {
         compiled.load_values(&mut scratch, l.data()).unwrap();
         let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.23).sin()).collect();
         let mut reference = vec![0.0; n];
-        plan.run_sequential(&Solve { l: &l, b: &b }, &mut reference);
+        plan.run(
+            None,
+            ExecutorKind::Sequential,
+            &Solve { l: &l, b: &b },
+            &mut reference,
+        );
         let mut seq = vec![0.0; n];
         compiled.run_sequential(&mut scratch, &b, &mut seq);
         assert_eq!(seq, reference);
         let pool = WorkerPool::new(2);
-        for policy in ExecPolicy::ALL {
+        for policy in ExecutorKind::ALL {
             let mut out = vec![0.0; n];
-            compiled.run(&pool, policy, &mut scratch, &b, &mut out);
+            compiled.run(Some(&pool), policy, &mut scratch, &b, &mut out);
             assert_eq!(out, reference, "{policy:?}");
         }
     }
@@ -1302,11 +1315,18 @@ mod tests {
         let pool = WorkerPool::new(2);
         let mut expect = vec![0.0; n];
         compiled.run_sequential(&mut scratch, &b, &mut expect);
-        for policy in ExecPolicy::ALL {
+        // The fail point sits in the parallel kernel's per-worker prologue;
+        // the sequential sweep has none.
+        for policy in [
+            ExecutorKind::SelfExecuting,
+            ExecutorKind::PreScheduled,
+            ExecutorKind::PreScheduledElided,
+            ExecutorKind::Doacross,
+        ] {
             failpoint::configure("exec.body_panic", failpoint::Mode::Times(1));
             let mut out = vec![0.0; n];
             let err = compiled
-                .try_run(&pool, policy, &mut scratch, &b, &mut out, None)
+                .try_run(Some(&pool), policy, &mut scratch, &b, &mut out, None)
                 .unwrap_err();
             assert!(
                 matches!(err, ExecError::BodyPanicked { workers } if workers >= 1),
@@ -1317,7 +1337,7 @@ mod tests {
             // Disarmed, the same scratch produces the exact result again.
             let mut again = vec![0.0; n];
             compiled
-                .try_run(&pool, policy, &mut scratch, &b, &mut again, None)
+                .try_run(Some(&pool), policy, &mut scratch, &b, &mut again, None)
                 .unwrap();
             assert_eq!(again, expect, "{policy:?}");
         }

@@ -5,31 +5,20 @@
 //! worker pool, unified behind one generic entry point:
 //!
 //! ```text
-//! PlannedLoop::run(&pool, ExecPolicy, &body, &mut out) -> ExecReport
+//! PlannedLoop::run(Option<&pool>, ExecutorKind, &body, &mut out) -> ExecReport
 //! ```
 //!
 //! A [`PlannedLoop`] is built **once** per dependence structure (it owns the
-//! schedule and the minimal barrier plan — structure only) and then run
+//! schedule and the minimal barrier plan — structure only;
+//! [`PlannedLoop::build`] composes the inspector pipeline) and then run
 //! **many** times — the paper's core economics: the inspector cost is
 //! amortized over repeated executions. A run's mutable state is a
 //! [`LoopScratch`] (the shared ready-flag buffer), borrowed exclusively for
 //! the run; the allocation-free promise lives on [`PlannedLoop::run_in`],
 //! which reuses a caller-held scratch at the cost of an O(1) epoch bump
-//! (`run` builds a scratch per call). The four synchronization disciplines
-//! are selected by [`ExecPolicy`]:
-//!
-//! * [`ExecPolicy::PreScheduled`] (Figure 5) — processors execute their
-//!   phase slices and meet at a **global barrier** between consecutive
-//!   wavefronts;
-//! * [`ExecPolicy::PreScheduledElided`] — as above, but only the barriers
-//!   the minimal [`BarrierPlan`] proves necessary are performed
-//!   (Nicol & Saltz synchronization reduction);
-//! * [`ExecPolicy::SelfExecuting`] (Figure 4) — a shared `ready` array
-//!   records which solution values have been produced, and consumers
-//!   **busy-wait** on the entries they need, letting consecutive wavefronts
-//!   pipeline — the paper's recommended executor;
-//! * [`ExecPolicy::Doacross`] — the original index order striped over
-//!   processors with busy-wait synchronization (no inspector reordering).
+//! (`run` builds a scratch per call). Which executor runs is a parameter of
+//! the run, an [`ExecutorKind`]: the natural-order `Sequential` loop (no
+//! pool needed) or one of the paper's four synchronization disciplines.
 //!
 //! Loop bodies are **statically dispatched**: a body implements [`LoopBody`]
 //! with a generic `eval<S: ValueSource>` method, so each executor
@@ -52,7 +41,8 @@
 //! reads (Figure 4), phase slices with a barrier at each kept boundary
 //! (Figure 5), natural order striped `i ≡ p (mod nprocs)` (doacross),
 //! dynamic chunk claiming (self-scheduling) — each polling the run's
-//! [`CancelToken`] every [`cancel::CHECK_STRIDE`] positions; and **two
+//! [`CancelToken`] every [`cancel::CHECK_STRIDE`] positions, as the
+//! `Sequential` loop beside them does on the caller's thread; and **two
 //! kernels** the walks are generic over — schedule lists plus a
 //! [`LoopBody`]/closure, and [`compiled::CompiledPlan`]'s execution-order
 //! arrays. Every public entry point is kernel construction, one walk call,
@@ -88,7 +78,6 @@
 //! debug builds.
 //!
 //! [`Schedule`]: rtpl_inspector::Schedule
-//! [`BarrierPlan`]: rtpl_inspector::BarrierPlan
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -113,7 +102,7 @@ pub use cancel::{CancelToken, ExecError};
 pub use compiled::{CompiledError, CompiledPlan, CompiledSpec, LayoutView, RunScratch};
 pub use doacross::doacross;
 pub use doall::{doall, doall_blocked, doall_reduce};
-pub use planned::{ExecPolicy, LoopScratch, PlannedLoop};
+pub use planned::{ExecutorKind, LoopScratch, PlannedLoop};
 pub use pool::{PoolError, WorkerPool};
 pub use presched::{pre_scheduled, pre_scheduled_elided};
 pub use report::ExecReport;
@@ -149,7 +138,7 @@ pub trait ValueSource {
 /// Plain closures cannot be generic over the source type; when a body is
 /// only used with a single discipline, pass a closure to the matching free
 /// function ([`self_executing`], [`pre_scheduled`], …) instead. Implement
-/// `LoopBody` when the same body must run under several policies through
+/// `LoopBody` when the same body must run under several kinds through
 /// [`PlannedLoop::run`]:
 ///
 /// ```
@@ -189,21 +178,16 @@ impl ValueSource for DirectSource<'_> {
 }
 
 /// Runs the loop body sequentially in natural index order — the reference
-/// executor every parallel variant is checked against. The body may read any
+/// executor every parallel variant is checked against, and the loop
+/// [`ExecutorKind::Sequential`] runs. The body may read any
 /// already-computed index (`j < i` for forward loops) through the
-/// [`DirectSource`].
+/// [`DirectSource`]. Panics if the body panics.
 pub fn sequential<F>(n: usize, body: F, out: &mut [f64])
 where
     F: for<'a> Fn(usize, &DirectSource<'a>) -> f64,
 {
     assert_eq!(out.len(), n);
-    for i in 0..n {
-        let val = {
-            let src = DirectSource(out);
-            body(i, &src)
-        };
-        out[i] = val;
-    }
+    protocol::natural(out, None, body).unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// Runs a [`LoopBody`] sequentially (the reference for [`PlannedLoop`]).

@@ -1,22 +1,23 @@
 //! The unified plan-once / run-many execution API.
 //!
-//! A [`PlannedLoop`] is the product of the inspector pipeline: it owns the
-//! dependence graph, the per-processor [`Schedule`] and the minimal
-//! [`BarrierPlan`] — structure only, immutable and shareable. A run's
-//! mutable half is a [`LoopScratch`], borrowed exclusively. Build the plan
-//! once per dependence structure; run-many callers (Krylov solvers run the
-//! same two plans hundreds of times) hold one scratch and call
+//! A [`PlannedLoop`] is the product of the inspector pipeline
+//! ([`PlannedLoop::build`]): it owns the dependence graph, the
+//! per-processor [`Schedule`] and the minimal [`BarrierPlan`] — structure
+//! only, immutable and shareable. A run's mutable half is a
+//! [`LoopScratch`], borrowed exclusively. Build the plan once per
+//! dependence structure; run-many callers (Krylov solvers run the same two
+//! plans hundreds of times) hold one scratch and call
 //! [`PlannedLoop::run_in`], whose repeated runs perform **no O(n)
 //! allocation or flag clearing** — invalidation is an O(1) epoch bump.
 //! [`PlannedLoop::run`] builds a scratch for the call.
 //!
-//! All four synchronization disciplines of the paper's §5 comparison are
-//! reachable through the single generic entry point (a body kernel handed
-//! to the matching walk of the crate's one protocol, `protocol.rs`):
+//! Which executor runs the loop is a parameter of the run, an
+//! [`ExecutorKind`]; the four synchronization disciplines hand a body
+//! kernel to the matching walk of the crate's one protocol (`protocol.rs`):
 //!
 //! ```
-//! use rtpl_executor::{ExecPolicy, LoopBody, PlannedLoop, ValueSource, WorkerPool};
-//! use rtpl_inspector::{DepGraph, Schedule, Wavefronts};
+//! use rtpl_executor::{ExecutorKind, LoopBody, PlannedLoop, ValueSource, WorkerPool};
+//! use rtpl_inspector::{DepGraph, Sorting, Wavefronts};
 //!
 //! // x(i) = 1 + sum of deps — a counting DAG.
 //! struct Count<'a>(&'a DepGraph);
@@ -28,62 +29,66 @@
 //!
 //! let g = DepGraph::from_lists(5, vec![vec![], vec![0], vec![0], vec![1, 2], vec![3]])?;
 //! let wf = Wavefronts::compute(&g)?;
-//! let schedule = Schedule::global(&wf, 2)?;
-//! let plan = PlannedLoop::new(g, schedule)?;
+//! let (plan, _) = PlannedLoop::build(g, &wf, Sorting::Global, 2, None)?;
 //! let pool = WorkerPool::new(2);
 //! let mut out = vec![0.0; 5];
-//! for policy in [
-//!     ExecPolicy::SelfExecuting,
-//!     ExecPolicy::PreScheduled,
-//!     ExecPolicy::PreScheduledElided,
-//!     ExecPolicy::Doacross,
-//! ] {
-//!     let report = plan.run(&pool, policy, &Count(plan.graph()), &mut out);
+//! for kind in ExecutorKind::ALL {
+//!     let report = plan.run(Some(&pool), kind, &Count(plan.graph()), &mut out);
 //!     assert_eq!(out, vec![1.0, 2.0, 2.0, 5.0, 6.0]);
 //!     assert_eq!(report.total_iters(), 5);
 //! }
 //! # Ok::<(), rtpl_inspector::InspectorError>(())
 //! ```
-//!
-//! [`Schedule`]: rtpl_inspector::Schedule
-//! [`BarrierPlan`]: rtpl_inspector::BarrierPlan
 
 use crate::cancel::{CancelToken, ExecError};
 use crate::pool::WorkerPool;
-use crate::protocol::{BodyKernel, Run};
+use crate::protocol::{self, BodyKernel, Run};
 use crate::report::ExecReport;
 use crate::shared::{PublishedSource, WaitingSource};
 use crate::LoopBody;
-use rtpl_inspector::{BarrierPlan, DepGraph, Result, Schedule};
+use rtpl_inspector::{BarrierPlan, CoalesceStats, DepGraph, Result, Schedule, Sorting, Wavefronts};
 
 pub use crate::protocol::LoopScratch;
 
-/// Which synchronization discipline [`PlannedLoop::run`] uses.
+/// Which executor runs a planned loop: the natural-order loop or one of
+/// the paper's four synchronization disciplines. The discriminant is the
+/// kind's **tag**: the byte plan artifacts and the wire protocol carry,
+/// and the index of every per-kind array (`ALL[kind as usize] == kind`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ExecPolicy {
+#[repr(u8)]
+pub enum ExecutorKind {
+    /// Natural index order on the caller's thread — the reference every
+    /// other kind is checked against. Forks no team and needs no pool.
+    Sequential = 0,
     /// Busy-wait on the shared ready array (Figure 4) — the paper's
     /// recommended executor; consecutive wavefronts pipeline.
-    SelfExecuting,
+    SelfExecuting = 1,
     /// Wavefront phases separated by global barriers (Figure 5).
-    PreScheduled,
+    PreScheduled = 2,
     /// Pre-scheduled, keeping only the barriers the minimal
     /// [`rtpl_inspector::BarrierPlan`] proves necessary (Nicol & Saltz).
-    PreScheduledElided,
+    PreScheduledElided = 3,
     /// Natural index order striped over processors with busy-wait
     /// synchronization — the no-inspector baseline. Requires a forward
     /// dependence graph (`dep < i`); checked when a run starts (a plan
-    /// over a non-forward DAG remains valid for the other policies).
-    Doacross,
+    /// over a non-forward DAG remains valid for the other kinds).
+    Doacross = 4,
 }
 
-impl ExecPolicy {
-    /// All policies, in the order the paper discusses them.
-    pub const ALL: [ExecPolicy; 4] = [
-        ExecPolicy::SelfExecuting,
-        ExecPolicy::PreScheduled,
-        ExecPolicy::PreScheduledElided,
-        ExecPolicy::Doacross,
+impl ExecutorKind {
+    /// Every kind, in tag order.
+    pub const ALL: [ExecutorKind; 5] = [
+        ExecutorKind::Sequential,
+        ExecutorKind::SelfExecuting,
+        ExecutorKind::PreScheduled,
+        ExecutorKind::PreScheduledElided,
+        ExecutorKind::Doacross,
     ];
+
+    /// The kind whose tag is `tag`; `None` for a byte no kind carries.
+    pub fn from_tag(tag: u8) -> Option<ExecutorKind> {
+        ExecutorKind::ALL.get(tag as usize).copied()
+    }
 }
 
 /// A scheduled loop, ready to execute many times (step 3's transformed
@@ -102,11 +107,34 @@ pub struct PlannedLoop {
 
 impl PlannedLoop {
     /// Builds the plan: validates `schedule` against `graph` and computes
-    /// the minimal barrier set for the elided policy.
+    /// the minimal barrier set for the elided kind.
     pub fn new(graph: DepGraph, schedule: Schedule) -> Result<Self> {
         schedule.validate(&graph)?;
         let barriers = BarrierPlan::minimal(&schedule, &graph)?;
         Self::from_parts(graph, schedule, barriers)
+    }
+
+    /// The inspector pipeline from a graph and its wavefronts `wf` to a
+    /// plan, the one place it is composed: the schedule `sorting`
+    /// prescribes for `nprocs` processors, coalesced at `grain` when given
+    /// ([`Schedule::coalesce`], whose statistics come back too), validated
+    /// by [`PlannedLoop::new`].
+    pub fn build(
+        graph: DepGraph,
+        wf: &Wavefronts,
+        sorting: Sorting,
+        nprocs: usize,
+        grain: Option<f64>,
+    ) -> Result<(Self, Option<CoalesceStats>)> {
+        let schedule = sorting.schedule(wf, nprocs)?;
+        let (schedule, stats) = match grain {
+            Some(grain) => {
+                let (merged, stats) = schedule.coalesce(&graph, grain)?;
+                (merged, Some(stats))
+            }
+            None => (schedule, None),
+        };
+        Ok((Self::new(graph, schedule)?, stats))
     }
 
     /// Rebuilds a plan from parts that were **validated when first built**
@@ -156,7 +184,7 @@ impl PlannedLoop {
         &self.graph
     }
 
-    /// The minimal barrier plan used by [`ExecPolicy::PreScheduledElided`].
+    /// The minimal barrier plan used by [`ExecutorKind::PreScheduledElided`].
     pub fn barrier_plan(&self) -> &BarrierPlan {
         &self.barriers
     }
@@ -176,21 +204,22 @@ impl PlannedLoop {
         self.schedule.num_phases()
     }
 
-    /// Executes the loop under `policy`, writing results to `out`.
+    /// Executes the loop under `kind`, writing results to `out`.
     ///
     /// The body is statically dispatched: `B::eval` monomorphizes against
-    /// the policy's concrete value source. The pool must match the
-    /// schedule's processor count (checked). Panics if the body panics;
-    /// failure-containing callers use [`PlannedLoop::try_run_in`]. Builds
-    /// a scratch for the call; [`PlannedLoop::run_in`] reuses one.
+    /// the kind's concrete value source. `pool` may be `None` only for
+    /// [`ExecutorKind::Sequential`], and must match the schedule's
+    /// processor count (checked). Panics if the body panics;
+    /// failure-containing callers use [`PlannedLoop::try_run_in`]. Builds a
+    /// scratch for the call; [`PlannedLoop::run_in`] reuses one.
     pub fn run<B: LoopBody>(
         &self,
-        pool: &WorkerPool,
-        policy: ExecPolicy,
+        pool: Option<&WorkerPool>,
+        kind: ExecutorKind,
         body: &B,
         out: &mut [f64],
     ) -> ExecReport {
-        self.run_in(&mut self.scratch(), pool, policy, body, out)
+        self.run_in(&mut self.scratch(), pool, kind, body, out)
     }
 
     /// As [`PlannedLoop::run`], executing over a caller-held scratch (which
@@ -199,26 +228,26 @@ impl PlannedLoop {
     pub fn run_in<B: LoopBody>(
         &self,
         scratch: &mut LoopScratch,
-        pool: &WorkerPool,
-        policy: ExecPolicy,
+        pool: Option<&WorkerPool>,
+        kind: ExecutorKind,
         body: &B,
         out: &mut [f64],
     ) -> ExecReport {
-        self.try_run_in(scratch, pool, policy, body, out, None)
+        self.try_run_in(scratch, pool, kind, body, out, None)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The failure-containing form of [`PlannedLoop::run_in`]: a panicking
     /// body or a fired [`CancelToken`] yields a typed [`ExecError`]
-    /// instead of unwinding through the caller. On error the output buffer
-    /// is untouched (partial results stay in the poisoned scratch, which
-    /// the next run's epoch bump discards) and the plan, the scratch and
-    /// the pool all remain usable.
+    /// instead of unwinding through the caller. On error a parallel kind
+    /// leaves `out` untouched (the next run's epoch bump discards the
+    /// poisoned scratch); `Sequential`, which writes `out` in place, leaves
+    /// the prefix it finished. The plan, scratch and pool stay usable.
     pub fn try_run_in<B: LoopBody>(
         &self,
         scratch: &mut LoopScratch,
-        pool: &WorkerPool,
-        policy: ExecPolicy,
+        pool: Option<&WorkerPool>,
+        kind: ExecutorKind,
         body: &B,
         out: &mut [f64],
         cancel: Option<&CancelToken>,
@@ -243,11 +272,14 @@ impl PlannedLoop {
             scratch,
             cancel,
         };
-        let report = match policy {
-            ExecPolicy::SelfExecuting => run.list_walk(&waiting),
-            ExecPolicy::PreScheduled => run.phase_walk(&published, &self.full_barriers),
-            ExecPolicy::PreScheduledElided => run.phase_walk(&published, &self.barriers),
-            ExecPolicy::Doacross => {
+        let report = match kind {
+            ExecutorKind::Sequential => {
+                return protocol::natural(out, cancel, |i, src| body.eval(i, src))
+            }
+            ExecutorKind::SelfExecuting => run.list_walk(&waiting),
+            ExecutorKind::PreScheduled => run.phase_walk(&published, &self.full_barriers),
+            ExecutorKind::PreScheduledElided => run.phase_walk(&published, &self.barriers),
+            ExecutorKind::Doacross => {
                 assert!(
                     self.graph.is_forward(),
                     "the doacross policy requires a forward dependence graph"
@@ -257,22 +289,6 @@ impl PlannedLoop {
         }?;
         scratch.shared.copy_into(out);
         Ok(report)
-    }
-
-    /// Executes the loop body sequentially in natural index order — the
-    /// reference every policy is checked against. The report shows all
-    /// iterations on one (virtual) processor; barriers and stalls are
-    /// structurally zero.
-    pub fn run_sequential<B: LoopBody>(&self, body: &B, out: &mut [f64]) -> ExecReport {
-        let n = self.schedule.n();
-        let t0 = std::time::Instant::now();
-        crate::sequential_body(n, body, out);
-        ExecReport {
-            barriers: 0,
-            stalls: 0,
-            iters_per_proc: vec![n as u64],
-            wall: t0.elapsed(),
-        }
     }
 }
 
@@ -303,6 +319,27 @@ mod tests {
         PlannedLoop::new(g, s).unwrap()
     }
 
+    /// The tags are the plan artifact's executor byte and the wire
+    /// protocol's `Solved.policy` byte: pinned, kind by kind.
+    #[test]
+    fn executor_kind_tags_are_pinned() {
+        let table = [
+            (ExecutorKind::Sequential, 0u8),
+            (ExecutorKind::SelfExecuting, 1),
+            (ExecutorKind::PreScheduled, 2),
+            (ExecutorKind::PreScheduledElided, 3),
+            (ExecutorKind::Doacross, 4),
+        ];
+        for (kind, tag) in table {
+            assert_eq!(kind as u8, tag, "{kind:?}");
+            assert_eq!(ExecutorKind::from_tag(tag), Some(kind));
+            assert_eq!(ExecutorKind::ALL[tag as usize], kind, "ALL is in tag order");
+        }
+        assert_eq!(ExecutorKind::ALL.len(), table.len());
+        assert_eq!(ExecutorKind::from_tag(5), None);
+        assert_eq!(ExecutorKind::from_tag(u8::MAX), None);
+    }
+
     #[test]
     fn all_policies_match_sequential() {
         let l = laplacian_5pt(7, 6).strict_lower();
@@ -313,9 +350,9 @@ mod tests {
         let plan = mesh_plan(7, 6, 3);
         let pool = WorkerPool::new(3);
         let body = Solve { l: &l, b: &b };
-        for policy in ExecPolicy::ALL {
+        for policy in ExecutorKind::ALL {
             let mut out = vec![0.0; n];
-            let report = plan.run(&pool, policy, &body, &mut out);
+            let report = plan.run(Some(&pool), policy, &body, &mut out);
             assert_eq!(out, expect, "{policy:?}");
             assert_eq!(report.total_iters() as usize, n, "{policy:?}");
         }
@@ -333,8 +370,8 @@ mod tests {
             solve_lower(&l, &b, Diag::Unit, &mut expect).unwrap();
             let mut out = vec![0.0; n];
             plan.run(
-                &pool,
-                ExecPolicy::SelfExecuting,
+                Some(&pool),
+                ExecutorKind::SelfExecuting,
                 &Solve { l: &l, b: &b },
                 &mut out,
             );
@@ -355,9 +392,14 @@ mod tests {
         let pool = WorkerPool::new(4);
         let body = Solve { l: &l, b: &b };
         let mut out = vec![0.0; n];
-        let full = plan.run(&pool, ExecPolicy::PreScheduled, &body, &mut out);
+        let full = plan.run(Some(&pool), ExecutorKind::PreScheduled, &body, &mut out);
         let mut out2 = vec![0.0; n];
-        let elided = plan.run(&pool, ExecPolicy::PreScheduledElided, &body, &mut out2);
+        let elided = plan.run(
+            Some(&pool),
+            ExecutorKind::PreScheduledElided,
+            &body,
+            &mut out2,
+        );
         assert_eq!(out, out2);
         assert!(elided.barriers <= full.barriers);
         assert_eq!(full.barriers as usize, plan.num_phases() - 1);
@@ -370,7 +412,12 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
         let plan = mesh_plan(4, 6, 2);
         let mut seq = vec![0.0; n];
-        plan.run_sequential(&Solve { l: &l, b: &b }, &mut seq);
+        plan.run(
+            None,
+            ExecutorKind::Sequential,
+            &Solve { l: &l, b: &b },
+            &mut seq,
+        );
         let mut expect = vec![0.0; n];
         solve_lower(&l, &b, Diag::Unit, &mut expect).unwrap();
         assert_eq!(seq, expect);
@@ -385,8 +432,8 @@ mod tests {
         let pool = WorkerPool::new(4);
         let mut out = vec![0.0; 16];
         plan.run(
-            &pool,
-            ExecPolicy::Doacross,
+            Some(&pool),
+            ExecutorKind::Doacross,
             &Solve { l: &l, b: &b },
             &mut out,
         );
@@ -409,10 +456,17 @@ mod tests {
         let plan = mesh_plan(6, 6, 2);
         let pool = WorkerPool::new(2);
         let mut scratch = plan.scratch();
-        for policy in ExecPolicy::ALL {
+        for policy in ExecutorKind::ALL {
             let mut out = vec![0.0; n];
             let err = plan
-                .try_run_in(&mut scratch, &pool, policy, &PanicAt(n / 2), &mut out, None)
+                .try_run_in(
+                    &mut scratch,
+                    Some(&pool),
+                    policy,
+                    &PanicAt(n / 2),
+                    &mut out,
+                    None,
+                )
                 .unwrap_err();
             assert!(
                 matches!(err, ExecError::BodyPanicked { workers } if workers >= 1),
@@ -427,8 +481,8 @@ mod tests {
         let mut out = vec![0.0; n];
         plan.try_run_in(
             &mut scratch,
-            &pool,
-            ExecPolicy::SelfExecuting,
+            Some(&pool),
+            ExecutorKind::SelfExecuting,
             &Solve { l: &l, b: &b },
             &mut out,
             None,
@@ -447,12 +501,12 @@ mod tests {
         let pool = WorkerPool::new(2);
         let token = CancelToken::with_deadline(std::time::Instant::now());
         let mut scratch = plan.scratch();
-        for policy in ExecPolicy::ALL {
+        for policy in ExecutorKind::ALL {
             let mut out = vec![0.0; n];
             let err = plan
                 .try_run_in(
                     &mut scratch,
-                    &pool,
+                    Some(&pool),
                     policy,
                     &Solve { l: &l, b: &b },
                     &mut out,
@@ -466,8 +520,8 @@ mod tests {
         let mut out = vec![0.0; n];
         plan.try_run_in(
             &mut scratch,
-            &pool,
-            ExecPolicy::SelfExecuting,
+            Some(&pool),
+            ExecutorKind::SelfExecuting,
             &Solve { l: &l, b: &b },
             &mut out,
             Some(&live),
@@ -514,7 +568,7 @@ mod tests {
         let share0 = plan.schedule().proc(0).len();
         let pool = WorkerPool::new(2);
         let mut scratch = plan.scratch();
-        for policy in [ExecPolicy::PreScheduled, ExecPolicy::PreScheduledElided] {
+        for policy in [ExecutorKind::PreScheduled, ExecutorKind::PreScheduledElided] {
             let token = CancelToken::new();
             let evals = AtomicUsize::new(0);
             let body = CancelAt {
@@ -524,7 +578,14 @@ mod tests {
             };
             let mut out = vec![-1.0; n];
             let err = plan
-                .try_run_in(&mut scratch, &pool, policy, &body, &mut out, Some(&token))
+                .try_run_in(
+                    &mut scratch,
+                    Some(&pool),
+                    policy,
+                    &body,
+                    &mut out,
+                    Some(&token),
+                )
                 .unwrap_err();
             assert_eq!(err, ExecError::Cancelled, "{policy:?}");
             assert_eq!(out, vec![-1.0; n], "{policy:?}: out must be untouched");
@@ -534,7 +595,7 @@ mod tests {
                 "{policy:?}: {evals} evaluations — processor 0 ran past its stride"
             );
             // The same scratch serves the next run exactly.
-            plan.try_run_in(&mut scratch, &pool, policy, &Index, &mut out, None)
+            plan.try_run_in(&mut scratch, Some(&pool), policy, &Index, &mut out, None)
                 .unwrap();
             assert_eq!(out, (0..n).map(|i| i as f64).collect::<Vec<_>>());
         }

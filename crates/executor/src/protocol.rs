@@ -16,6 +16,8 @@
 //!   [`Run::phase_walk`] (Figure 5, full or elided), [`Run::stripe_walk`]
 //!   (doacross) and [`Run::claim_walk`] (self-scheduling), each polling the
 //!   [`CancelToken`] every [`CHECK_STRIDE`] positions of a worker's count;
+//! * beside them, [`natural`]: the `Sequential` loop, which forks nothing
+//!   but keeps the envelope's panic containment and polling cadence;
 //! * **two kernels** ([`Kernel`]) — what a position *is*: [`BodyKernel`]
 //!   (schedule lists plus a body closure) and the compiled layout kernel
 //!   in [`crate::compiled`]. Walks are generic over the kernel, so each
@@ -40,6 +42,7 @@ use crate::pool::WorkerPool;
 use crate::report::ExecReport;
 use crate::selfsched::Chunking;
 use crate::shared::{PublishedSource, SharedVec, WaitingSource};
+use crate::DirectSource;
 use rtpl_inspector::{BarrierPlan, Schedule};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -139,10 +142,11 @@ impl<S, F: Fn(usize, &S) -> f64 + Sync> Kernel<S> for BodyKernel<'_, F> {
 /// What every walk returns.
 pub(crate) type Outcome = Result<ExecReport, ExecError>;
 
-/// One parallel run about to happen: the team, the scratch it borrows
-/// exclusively, and the requester's token. The walks consume it.
+/// One parallel run about to happen: the team (which every walk requires),
+/// the scratch it borrows exclusively, and the requester's token. The walks
+/// consume it.
 pub(crate) struct Run<'a> {
-    pub(crate) pool: &'a WorkerPool,
+    pub(crate) pool: Option<&'a WorkerPool>,
     pub(crate) scratch: &'a mut LoopScratch,
     pub(crate) cancel: Option<&'a CancelToken>,
 }
@@ -206,8 +210,10 @@ impl<'a> Run<'a> {
         barriers: u64,
         worker: impl for<'e> Fn(&Lane<'a, 'e>) -> Option<(usize, u64)> + Sync,
     ) -> Outcome {
-        let (pool, cancel) = (self.pool, self.cancel);
-        let scratch: &'a LoopScratch = self.scratch;
+        let pool = self
+            .pool
+            .expect("parallel executor kinds require a worker pool");
+        let (cancel, scratch): (_, &'a LoopScratch) = (self.cancel, self.scratch);
         assert_eq!(
             scratch.nprocs(),
             pool.nworkers(),
@@ -334,6 +340,37 @@ impl<'a> Run<'a> {
     }
 }
 
+/// The `Sequential` kind of a loop body: natural index order on the
+/// caller's thread, in place in `out` (read back through a
+/// [`DirectSource`]). A panicking body is contained, the token is polled
+/// every [`CHECK_STRIDE`] iterations, and a failed run leaves the prefix it
+/// finished in `out`.
+pub(crate) fn natural<F>(out: &mut [f64], cancel: Option<&CancelToken>, body: F) -> Outcome
+where
+    F: for<'s> Fn(usize, &DirectSource<'s>) -> f64,
+{
+    let t0 = Instant::now();
+    let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        for i in 0..out.len() {
+            if let Some(cause) = cancel
+                .filter(|_| i.is_multiple_of(CHECK_STRIDE))
+                .and_then(CancelToken::check)
+            {
+                return Err(cause);
+            }
+            out[i] = body(i, &DirectSource(out));
+        }
+        Ok(())
+    }));
+    ran.unwrap_or(Err(ExecError::BodyPanicked { workers: 1 }))?;
+    Ok(ExecReport {
+        barriers: 0,
+        stalls: 0,
+        iters_per_proc: vec![out.len() as u64],
+        wall: t0.elapsed(),
+    })
+}
+
 /// Claims the next chunk of `0..n` from `cursor`; `None` once the list is
 /// exhausted.
 fn claim(cursor: &AtomicUsize, by: Chunking, n: usize, nprocs: usize) -> Option<Range<usize>> {
@@ -365,7 +402,7 @@ pub(crate) fn one_shot<F>(
     assert_eq!(out.len(), n);
     let mut scratch = LoopScratch::new(n, nprocs);
     let run = Run {
-        pool,
+        pool: Some(pool),
         scratch: &mut scratch,
         cancel: None,
     };

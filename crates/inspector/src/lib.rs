@@ -14,7 +14,9 @@
 //!      wavefront ([`Schedule::global`]), or
 //!    * **local scheduling** — keep a fixed index-to-processor
 //!      [`Partition`] and only reorder each processor's own indices by
-//!      wavefront ([`Schedule::local`]).
+//!      wavefront ([`Schedule::local`]);
+//!
+//!    [`Sorting::schedule`] makes the choice.
 //!
 //! An optional post-pass, [`Schedule::coalesce`], applies the paper's cost
 //! model one level up: consecutive wavefronts whose combined per-processor
@@ -37,7 +39,7 @@ pub mod wavefront;
 pub use dep::DepGraph;
 pub use elision::BarrierPlan;
 pub use partition::Partition;
-pub use schedule::{CoalesceStats, Schedule};
+pub use schedule::{CoalesceStats, Schedule, Sorting};
 pub use stats::ScheduleStats;
 pub use wavefront::Wavefronts;
 

@@ -42,6 +42,38 @@ pub struct CoalesceStats {
     pub moved: usize,
 }
 
+/// How the inspector sorts and distributes the index set.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Sorting {
+    /// Global topological sort + wrapped assignment ([`Schedule::global`]):
+    /// balances every wavefront, the most expensive inspector.
+    Global,
+    /// Fixed striped partition (`i mod p`), local wavefront sort only.
+    LocalStriped,
+    /// Fixed contiguous-block partition, local wavefront sort only.
+    LocalContiguous,
+}
+
+impl Sorting {
+    /// Every strategy.
+    pub const ALL: [Sorting; 3] = [
+        Sorting::Global,
+        Sorting::LocalStriped,
+        Sorting::LocalContiguous,
+    ];
+
+    /// The schedule this strategy prescribes for `nprocs` processors over
+    /// the wavefront decomposition `wf`.
+    pub fn schedule(self, wf: &Wavefronts, nprocs: usize) -> Result<Schedule> {
+        let n = wf.n();
+        match self {
+            Sorting::Global => Schedule::global(wf, nprocs),
+            Sorting::LocalStriped => Schedule::local(wf, &Partition::striped(n, nprocs)?),
+            Sorting::LocalContiguous => Schedule::local(wf, &Partition::contiguous(n, nprocs)?),
+        }
+    }
+}
+
 /// A per-processor execution order with phase markers.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Schedule {

@@ -11,7 +11,7 @@
 //!   values-free inspection of the factors' structure
 //!   ([`TriangularSolvePlan`]), compiled once into execution-order layouts
 //!   ([`CompiledTriSolve`]), then handed the factor values on every solve
-//!   under any of the four executors;
+//!   under any [`ExecutorKind`];
 //! * [`factor`] — the parallel numeric incomplete factorization (row
 //!   granularity, pivot rows awaited through [`rtpl_executor::SharedRows`]);
 //! * [`precond`] — Jacobi and ILU preconditioner application;

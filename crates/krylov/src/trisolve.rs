@@ -27,62 +27,14 @@
 
 use crate::{KrylovError, Result};
 use rtpl_executor::compiled::{CompiledError, CompiledPlan, CompiledSpec, RunScratch};
-use rtpl_executor::{CancelToken, ExecPolicy, ExecReport, PlannedLoop, WorkerPool};
-use rtpl_inspector::{BarrierPlan, CoalesceStats, DepGraph, Partition, Schedule, Wavefronts};
+use rtpl_executor::{CancelToken, ExecReport, PlannedLoop, WorkerPool};
+use rtpl_inspector::{BarrierPlan, CoalesceStats, DepGraph, Schedule, Wavefronts};
 use rtpl_sparse::ilu::IluFactors;
 use rtpl_sparse::wire::{WireError, WireReader, WireResult, WireWriter};
 use rtpl_sparse::{Csr, SparseError};
 
-/// Which executor runs the scheduled loop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecutorKind {
-    /// Single-threaded reference sweep.
-    Sequential,
-    /// Natural order striped over processors, busy-wait synchronization
-    /// (no inspector reordering) — the paper's doacross baseline.
-    Doacross,
-    /// Wavefront phases separated by global barriers (Figure 5).
-    PreScheduled,
-    /// Pre-scheduled with the minimal barrier set (Nicol & Saltz elision).
-    PreScheduledElided,
-    /// Busy-wait on the shared ready array (Figure 4) — the paper's
-    /// recommended executor.
-    SelfExecuting,
-}
-
-impl ExecutorKind {
-    /// Every kind, in the order the selector and the benches sweep them.
-    pub const ALL: [ExecutorKind; 5] = [
-        ExecutorKind::Sequential,
-        ExecutorKind::SelfExecuting,
-        ExecutorKind::PreScheduled,
-        ExecutorKind::PreScheduledElided,
-        ExecutorKind::Doacross,
-    ];
-
-    /// The parallel policy this kind maps to (`None` for `Sequential`).
-    pub fn policy(self) -> Option<ExecPolicy> {
-        match self {
-            ExecutorKind::Sequential => None,
-            ExecutorKind::Doacross => Some(ExecPolicy::Doacross),
-            ExecutorKind::PreScheduled => Some(ExecPolicy::PreScheduled),
-            ExecutorKind::PreScheduledElided => Some(ExecPolicy::PreScheduledElided),
-            ExecutorKind::SelfExecuting => Some(ExecPolicy::SelfExecuting),
-        }
-    }
-}
-
-/// How the inspector sorts/partitions the index set.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Sorting {
-    /// Global topological sort + wrapped assignment (balances every
-    /// wavefront; the most expensive inspector).
-    Global,
-    /// Fixed striped assignment (`i mod p`), local wavefront sort only.
-    LocalStriped,
-    /// Fixed contiguous-block assignment, local wavefront sort only.
-    LocalContiguous,
-}
+pub use rtpl_executor::ExecutorKind;
+pub use rtpl_inspector::Sorting;
 
 /// One factor's sparsity structure: the index half of a CSR matrix.
 #[derive(Debug)]
@@ -179,9 +131,13 @@ impl TriangularSolvePlan {
         sorting: Sorting,
         grain: Option<f64>,
     ) -> Result<Self> {
+        let plan = |g: DepGraph| {
+            let wf = Wavefronts::compute(&g)?;
+            PlannedLoop::build(g, &wf, sorting, nprocs, grain)
+        };
         let (g_l, g_u) = dependence_graphs(&factors.l, &factors.u)?;
-        let (plan_l, coalesce_l) = make_plan(g_l, nprocs, sorting, grain)?;
-        let (plan_u, coalesce_u) = make_plan(g_u, nprocs, sorting, grain)?;
+        let (plan_l, coalesce_l) = plan(g_l)?;
+        let (plan_u, coalesce_u) = plan(g_u)?;
         Ok(TriangularSolvePlan {
             n: factors.n(),
             l: Pattern::of(&factors.l),
@@ -477,9 +433,9 @@ impl CompiledTriSolve {
     /// As [`CompiledTriSolve::solve_loaded`] with failure containment: a
     /// panicking sweep or a fired [`CancelToken`] (explicit or deadline)
     /// comes back as [`KrylovError::Exec`] instead of unwinding, with the
-    /// plan, the scratch, and the pool all still usable. The sequential
-    /// path consults the token between the two sweeps (its natural
-    /// boundary); the parallel paths also check inside each sweep.
+    /// plan, the scratch, and the pool all still usable. The token is
+    /// consulted on entry to each sweep, and under a parallel kind inside
+    /// each sweep too ([`CompiledPlan::try_run`]).
     pub fn solve_loaded_cancellable(
         &self,
         pool: Option<&WorkerPool>,
@@ -489,31 +445,12 @@ impl CompiledTriSolve {
         scratch: &mut CompiledSolveScratch,
         cancel: Option<&CancelToken>,
     ) -> Result<(ExecReport, ExecReport)> {
-        assert_eq!(b.len(), self.plan.n);
-        assert_eq!(x.len(), self.plan.n);
-        let pool = kind
-            .policy()
-            .map(|_| pool.expect("parallel executor kinds require a worker pool"));
-        if let Some(cause) = cancel.and_then(CancelToken::check) {
-            return Err(cause.into());
-        }
-        let fwd = match (kind.policy(), pool) {
-            (Some(policy), Some(pool)) => {
-                self.fwd
-                    .try_run(pool, policy, &mut scratch.fwd, b, &mut scratch.y, cancel)?
-            }
-            _ => self.fwd.run_sequential(&mut scratch.fwd, b, &mut scratch.y),
-        };
-        if let Some(cause) = cancel.and_then(CancelToken::check) {
-            return Err(cause.into());
-        }
-        let bwd = match (kind.policy(), pool) {
-            (Some(policy), Some(pool)) => {
-                self.bwd
-                    .try_run(pool, policy, &mut scratch.bwd, &scratch.y, x, cancel)?
-            }
-            _ => self.bwd.run_sequential(&mut scratch.bwd, &scratch.y, x),
-        };
+        let fwd = self
+            .fwd
+            .try_run(pool, kind, &mut scratch.fwd, b, &mut scratch.y, cancel)?;
+        let bwd = self
+            .bwd
+            .try_run(pool, kind, &mut scratch.bwd, &scratch.y, x, cancel)?;
         Ok((fwd, bwd))
     }
 }
@@ -526,27 +463,6 @@ impl CompiledTriSolve {
 /// and artifacts carry the wavefront-coalescing statistics per sweep.
 /// Version-1 artifacts are refused, forcing a cold re-inspect.
 pub const ARTIFACT_VERSION: u32 = 2;
-
-fn kind_to_u8(kind: ExecutorKind) -> u8 {
-    match kind {
-        ExecutorKind::Sequential => 0,
-        ExecutorKind::SelfExecuting => 1,
-        ExecutorKind::PreScheduled => 2,
-        ExecutorKind::PreScheduledElided => 3,
-        ExecutorKind::Doacross => 4,
-    }
-}
-
-fn kind_from_u8(b: u8) -> Option<ExecutorKind> {
-    Some(match b {
-        0 => ExecutorKind::Sequential,
-        1 => ExecutorKind::SelfExecuting,
-        2 => ExecutorKind::PreScheduled,
-        3 => ExecutorKind::PreScheduledElided,
-        4 => ExecutorKind::Doacross,
-        _ => return None,
-    })
-}
 
 fn put_coalesce(w: &mut WireWriter, s: Option<CoalesceStats>) {
     match s {
@@ -588,7 +504,7 @@ impl CompiledTriSolve {
         w.put_u32(ARTIFACT_VERSION);
         let p = &self.plan;
         w.put_u64(p.n as u64);
-        w.put_u8(kind_to_u8(p.kind));
+        w.put_u8(p.kind as u8);
         put_coalesce(&mut w, p.coalesce_l);
         put_coalesce(&mut w, p.coalesce_u);
         w.put_usizes32(&p.l.indptr);
@@ -633,7 +549,7 @@ impl CompiledTriSolve {
                 "artifact order {n} exceeds u32 row indexing"
             )));
         }
-        let kind = kind_from_u8(r.u8()?)
+        let kind = ExecutorKind::from_tag(r.u8()?)
             .ok_or_else(|| WireError::Invalid("unknown executor kind tag".into()))?;
         let coalesce_l = get_coalesce(&mut r)?;
         let coalesce_u = get_coalesce(&mut r)?;
@@ -691,28 +607,6 @@ impl CompiledTriSolve {
         };
         Ok(CompiledTriSolve { plan, fwd, bwd })
     }
-}
-
-fn make_plan(
-    g: DepGraph,
-    nprocs: usize,
-    sorting: Sorting,
-    grain: Option<f64>,
-) -> Result<(PlannedLoop, Option<CoalesceStats>)> {
-    let wf = Wavefronts::compute(&g)?;
-    let schedule = match sorting {
-        Sorting::Global => Schedule::global(&wf, nprocs)?,
-        Sorting::LocalStriped => Schedule::local(&wf, &Partition::striped(g.n(), nprocs)?)?,
-        Sorting::LocalContiguous => Schedule::local(&wf, &Partition::contiguous(g.n(), nprocs)?)?,
-    };
-    let (schedule, stats) = match grain {
-        Some(grain) => {
-            let (merged, stats) = schedule.coalesce(&g, grain)?;
-            (merged, Some(stats))
-        }
-        None => (schedule, None),
-    };
-    Ok((PlannedLoop::new(g, schedule)?, stats))
 }
 
 #[cfg(test)]

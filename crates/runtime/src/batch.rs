@@ -24,25 +24,28 @@
 //!
 //! Each fingerprint group is executed by one of three per-class group
 //! runners, and a lone [`Runtime::submit`] is the same runner on a group
-//! of one — there is no second, single-job execution path.
+//! of one — there is no second, single-job execution path. Inside a
+//! runner every job is one executor call under the group's
+//! [`ExecutorKind`], `Sequential` included.
 //!
 //! A [`Job`] is one of three requests, each keyed into its own build-once
 //! cache:
 //!
 //! * [`JobKind::Solve`] — `L U x = b` for [`IluFactors`];
 //! * [`JobKind::Loop`] — a generic [`LoopBody`] over a cacheable [`LoopSpec`]
-//!   (the analysis product `rtpl::DoConsider::into_spec` emits);
+//!   (the analysis product `rtpl::DoConsider::into_spec` emits; a loop
+//!   compiled by `rtpl::transform` is such a body);
 //! * [`JobKind::LinearLoop`] — the body-free linear recurrence
 //!   `x(i) = rhs(i) − Σ a_k·x(dep_k)`, compiled to a schedule-order
 //!   [`CompiledPlan`] layout with per-call coefficient gathers.
 //!
 //! [`CompiledPlan`]: rtpl_executor::compiled::CompiledPlan
 
-use crate::service::Runtime;
+use crate::cache::PlanCache;
+use crate::service::{Entry, Runtime};
 use crate::Result;
-use rtpl_executor::{CancelToken, ExecReport, LoopBody, ValueSource};
+use rtpl_executor::{CancelToken, ExecReport, ExecutorKind, LoopBody, ValueSource, WorkerPool};
 use rtpl_inspector::DepGraph;
-use rtpl_krylov::ExecutorKind;
 use rtpl_sparse::ilu::IluFactors;
 use rtpl_sparse::PatternFingerprint;
 use std::collections::{HashMap, VecDeque};
@@ -54,9 +57,7 @@ use std::time::{Duration, Instant};
 /// structural key. This is what `DoConsider` emits for the runtime front
 /// door (`rtpl::DoConsider::into_spec`) instead of scheduling inline —
 /// scheduling, policy selection, and plan reuse across requests are the
-/// runtime's job. (Not to be confused with `rtpl::LoopSpec`, the
-/// transformer's stack-program IR; that one describes a loop *body*, this
-/// one a loop *structure*.)
+/// runtime's job.
 ///
 /// The spec is cheap to clone and share (`Arc` inside); two specs over the
 /// same dependence structure carry the same key and meet on one cache
@@ -457,32 +458,6 @@ impl Runtime {
         // `submit`) allocates nothing here.
         let rest: Vec<_> = jobs.collect();
         let lone = rest.is_empty();
-        let JobKind::Solve { factors: lead, .. } = &first.1.kind else {
-            unreachable!("solve group holds solve jobs")
-        };
-        let lead = *lead;
-        let mut built = false;
-        let slot = self.solves.get_or_build(key, || {
-            built = true;
-            self.build_solve_entry(lead)
-        });
-        let slot = match slot {
-            Ok(s) => s,
-            // Solve plans are built from the factors' *structure* alone —
-            // what the group was keyed on — so a build failure is
-            // identical for every job of the group.
-            Err(e) => {
-                return std::iter::once(first)
-                    .chain(rest)
-                    .for_each(|(i, _)| self.finish_job(key, i, Err(e.clone()), sink))
-            }
-        };
-        let entry = slot.get();
-        let kind = self.choose_policy(&entry.adaptive);
-        let (mut scratch, info) = entry.scratches.lease(|| entry.compiled.scratch());
-        self.note_lease(info);
-        // Sequential runs fork no team — don't lease (or ever spawn) one.
-        let lease = kind.policy().map(|_| self.pools.lease());
         // Sequential runs: a factor object appearing exactly once in the
         // group gains nothing from the gather + run split (its gather
         // would serve only itself), so such jobs — a lone job always —
@@ -492,7 +467,7 @@ impl Runtime {
         // the scratch's loaded values, so the `loaded` memo stays valid
         // across the mix.
         let mut ptr_uses: HashMap<*const IluFactors, u32> = HashMap::new();
-        if kind == ExecutorKind::Sequential && !lone {
+        if !lone {
             for (_, job) in std::iter::once(&first).chain(&rest) {
                 if let JobKind::Solve { factors, .. } = &job.kind {
                     *ptr_uses.entry(*factors).or_insert(0) += 1;
@@ -500,52 +475,40 @@ impl Runtime {
             }
         }
         let mut loaded: Option<*const IluFactors> = None;
-        let (mut wall_sum, mut runs) = (0.0f64, 0u64);
-        for (i, job) in std::iter::once(first).chain(rest) {
-            let JobKind::Solve { factors, b, x } = job.kind else {
-                unreachable!("solve group holds solve jobs")
-            };
-            let ptr: *const IluFactors = factors;
-            let fused =
-                kind == ExecutorKind::Sequential && (lone || ptr_uses.get(&ptr) == Some(&1));
-            let token = job.deadline.map(CancelToken::with_deadline);
-            let r = (|| {
+        let jobs = std::iter::once(first).chain(rest);
+        let build = |lead: &JobKind<'j, B>| match lead {
+            JobKind::Solve { factors, .. } => self.build_solve_entry(factors),
+            _ => unreachable!("solve group holds solve jobs"),
+        };
+        self.run_cached(
+            key,
+            &self.solves,
+            build,
+            jobs,
+            sink,
+            |plan, scratch, kind, pool, token, job| {
+                let JobKind::Solve { factors, b, x } = job else {
+                    unreachable!("solve group holds solve jobs")
+                };
+                let ptr: *const IluFactors = factors;
+                let fused =
+                    kind == ExecutorKind::Sequential && (lone || ptr_uses.get(&ptr) == Some(&1));
                 let (fwd, bwd) = if fused {
-                    if let Some(cause) = token.as_ref().and_then(CancelToken::check) {
-                        return Err(crate::RuntimeError::from(cause));
+                    if let Some(cause) = token.and_then(CancelToken::check) {
+                        return Err(cause.into());
                     }
-                    entry
-                        .compiled
-                        .solve_fused_sequential(factors, b, x, &mut scratch)?
+                    plan.solve_fused_sequential(factors, b, x, scratch)?
                 } else {
                     if loaded != Some(ptr) {
                         loaded = None;
-                        entry.compiled.load_values(factors, &mut scratch)?;
+                        plan.load_values(factors, scratch)?;
                         loaded = Some(ptr);
                     }
-                    entry.compiled.solve_loaded_cancellable(
-                        lease.as_deref(),
-                        kind,
-                        b,
-                        x,
-                        &mut scratch,
-                        token.as_ref(),
-                    )?
+                    plan.solve_loaded_cancellable(pool, kind, b, x, scratch, token)?
                 };
-                wall_sum += (fwd.wall + bwd.wall).as_nanos() as f64;
-                runs += 1;
-                Ok(JobOutcome {
-                    policy: kind,
-                    cached: !std::mem::take(&mut built),
-                    pattern: key,
-                    concurrent: info.active,
-                    reports: (fwd, Some(bwd)),
-                })
-            })();
-            self.finish_job(key, i, r, sink);
-        }
-        drop(scratch);
-        self.observe_group(&entry.adaptive, kind, wall_sum, runs);
+                Ok((fwd, Some(bwd)))
+            },
+        );
     }
 
     fn run_loop_group<'j, B: LoopBody + 'j>(
@@ -554,87 +517,24 @@ impl Runtime {
         jobs: impl Iterator<Item = (usize, Job<'j, B>)>,
         sink: &mut impl FnMut(usize, Result<JobOutcome>),
     ) {
-        let mut jobs = jobs.peekable();
-        let Some(JobKind::Loop { spec, .. }) = jobs.peek().map(|(_, job)| &job.kind) else {
-            unreachable!("loop group holds loop jobs")
+        let build = |lead: &JobKind<'j, B>| match lead {
+            JobKind::Loop { spec, .. } => self.build_loop_entry(spec.graph().clone()),
+            _ => unreachable!("loop group holds loop jobs"),
         };
-        let spec = *spec;
-        let mut built = false;
-        let slot = self.loops.get_or_build(key, || {
-            built = true;
-            self.build_loop_entry(spec.graph().clone())
-        });
-        let slot = match slot {
-            Ok(s) => s,
-            // Loop plans are built from the spec's *structure* alone, so a
-            // build failure is identical for every job of the group.
-            Err(e) => return jobs.for_each(|(i, _)| self.finish_job(key, i, Err(e.clone()), sink)),
-        };
-        let entry = slot.get();
-        let kind = self.choose_policy(&entry.adaptive);
-        let (mut wall_sum, mut runs) = (0.0f64, 0u64);
-        // Sequential runs write straight to each job's buffer — no
-        // scratch needed, but the in-flight use is still tracked so
-        // `concurrent`/`peak_same_pattern` see every request; parallel
-        // kinds lease one scratch and one pool for the whole group.
-        let mut leased = match kind.policy() {
-            None => None,
-            Some(policy) => {
-                let (scratch, info) = entry.scratches.lease(|| entry.plan.scratch());
-                self.note_lease(info);
-                Some((scratch, info, policy, self.pools.lease()))
-            }
-        };
-        let mut track = None;
-        let concurrent = match &leased {
-            Some((_, info, _, _)) => info.active,
-            None => {
-                let (guard, active) = entry.scratches.track();
-                self.peak_same_pattern.fetch_max(active, Ordering::Relaxed);
-                track = Some(guard);
-                active
-            }
-        };
-        for (i, job) in jobs {
-            let JobKind::Loop { body, out, .. } = job.kind else {
-                unreachable!("loop group holds loop jobs")
-            };
-            let token = job.deadline.map(CancelToken::with_deadline);
-            let r = (|| {
-                let report = match &mut leased {
-                    None => {
-                        // Sequential runs have no cancellation points; the
-                        // deadline gates entry, and a panicking body
-                        // unwinds only to here.
-                        if let Some(cause) = token.as_ref().and_then(CancelToken::check) {
-                            return Err(crate::RuntimeError::from(cause));
-                        }
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            entry.plan.run_sequential(body, out)
-                        }))
-                        .map_err(|_| crate::RuntimeError::BodyPanicked { workers: 0 })?
-                    }
-                    Some((scratch, _, policy, pool)) => {
-                        entry
-                            .plan
-                            .try_run_in(scratch, pool, *policy, body, out, token.as_ref())?
-                    }
+        self.run_cached(
+            key,
+            &self.loops,
+            build,
+            jobs,
+            sink,
+            |plan, scratch, kind, pool, token, job| {
+                let JobKind::Loop { body, out, .. } = job else {
+                    unreachable!("loop group holds loop jobs")
                 };
-                wall_sum += report.wall.as_nanos() as f64;
-                runs += 1;
-                Ok(JobOutcome {
-                    policy: kind,
-                    cached: !std::mem::take(&mut built),
-                    pattern: key,
-                    concurrent,
-                    reports: (report, None),
-                })
-            })();
-            self.finish_job(key, i, r, sink);
-        }
-        drop(leased);
-        drop(track);
-        self.observe_group(&entry.adaptive, kind, wall_sum, runs);
+                let report = plan.try_run_in(scratch, pool, kind, body, out, token)?;
+                Ok((report, None))
+            },
+        );
     }
 
     fn run_linear_group<'j, B: LoopBody + 'j>(
@@ -643,73 +543,93 @@ impl Runtime {
         jobs: impl Iterator<Item = (usize, Job<'j, B>)>,
         sink: &mut impl FnMut(usize, Result<JobOutcome>),
     ) {
-        let mut jobs = jobs.peekable();
-        let Some(JobKind::LinearLoop { spec, .. }) = jobs.peek().map(|(_, job)| &job.kind) else {
-            unreachable!("linear group holds linear jobs")
+        let build = |lead: &JobKind<'j, B>| match lead {
+            JobKind::LinearLoop { spec, .. } => self.build_linear_entry(spec),
+            _ => unreachable!("linear group holds linear jobs"),
         };
-        let spec = *spec;
+        let mut loaded: Option<*const [f64]> = None;
+        self.run_cached(
+            key,
+            &self.linears,
+            build,
+            jobs,
+            sink,
+            |plan, scratch, kind, pool, token, job| {
+                let JobKind::LinearLoop { vals, rhs, out, .. } = job else {
+                    unreachable!("linear group holds linear jobs")
+                };
+                let ptr: *const [f64] = vals;
+                if loaded != Some(ptr) {
+                    loaded = None;
+                    plan.load_values(scratch, vals)
+                        .map_err(crate::service::map_compiled)?;
+                    loaded = Some(ptr);
+                }
+                let report = plan.try_run(pool, kind, scratch, rhs, out, token)?;
+                Ok((report, None))
+            },
+        );
+    }
+
+    /// The one group runner under the three job classes: one cache lookup
+    /// (`build` makes the entry from the group's first job on a miss), one
+    /// policy decision, one scratch lease and — for a parallel kind — one
+    /// pool lease for the whole group, then `run`, one executor call, per
+    /// job, and one averaged observation back into the selector. Entries
+    /// are built from the group's *structure* alone — what it was keyed on
+    /// — so a build failure answers every job of the group.
+    fn run_cached<'j, B: LoopBody + 'j, P, S>(
+        &self,
+        key: PatternFingerprint,
+        cache: &PlanCache<Entry<P, S>>,
+        build: impl FnOnce(&JobKind<'j, B>) -> Result<Entry<P, S>>,
+        jobs: impl Iterator<Item = (usize, Job<'j, B>)>,
+        sink: &mut impl FnMut(usize, Result<JobOutcome>),
+        mut run: impl FnMut(
+            &P,
+            &mut S,
+            ExecutorKind,
+            Option<&WorkerPool>,
+            Option<&CancelToken>,
+            JobKind<'j, B>,
+        ) -> Result<(ExecReport, Option<ExecReport>)>,
+    ) {
+        let mut jobs = jobs.peekable();
+        let (_, lead) = jobs.peek().expect("invariant: groups are never empty");
         let mut built = false;
-        let slot = self.linears.get_or_build(key, || {
+        let slot = cache.get_or_build(key, || {
             built = true;
-            self.build_linear_entry(spec)
+            build(&lead.kind)
         });
         let slot = match slot {
             Ok(s) => s,
-            // Compiled linear layouts are structure-only too (values only
-            // enter at the per-job gather), so the failure is group-wide.
             Err(e) => return jobs.for_each(|(i, _)| self.finish_job(key, i, Err(e.clone()), sink)),
         };
         let entry = slot.get();
         let kind = self.choose_policy(&entry.adaptive);
-        let (mut scratch, info) = entry.scratches.lease(|| entry.compiled.scratch());
+        let (mut scratch, info) = entry.lease();
         self.note_lease(info);
-        let lease = kind.policy().map(|p| (p, self.pools.lease()));
-        let mut loaded: Option<*const [f64]> = None;
+        // Sequential forks no team: a runtime whose every run is sequential
+        // never spawns a worker thread.
+        let pool = (kind != ExecutorKind::Sequential).then(|| self.pools.lease());
         let (mut wall_sum, mut runs) = (0.0f64, 0u64);
         for (i, job) in jobs {
-            let JobKind::LinearLoop { vals, rhs, out, .. } = job.kind else {
-                unreachable!("linear group holds linear jobs")
-            };
-            let ptr: *const [f64] = vals;
             let token = job.deadline.map(CancelToken::with_deadline);
-            let r = (|| {
-                if loaded != Some(ptr) {
-                    loaded = None;
-                    entry
-                        .compiled
-                        .load_values(&mut scratch, vals)
-                        .map_err(crate::service::map_compiled)?;
-                    loaded = Some(ptr);
-                }
-                let report = match &lease {
-                    // Compiled linear sweeps carry no user body; only the
-                    // entry-time deadline check applies on the sequential
-                    // arm.
-                    None => {
-                        if let Some(cause) = token.as_ref().and_then(CancelToken::check) {
-                            return Err(crate::RuntimeError::from(cause));
-                        }
-                        entry.compiled.run_sequential(&mut scratch, rhs, out)
+            let (plan, token) = (&entry.plan, token.as_ref());
+            let r =
+                run(plan, &mut scratch, kind, pool.as_deref(), token, job.kind).map(|reports| {
+                    let wall =
+                        reports.0.wall + reports.1.as_ref().map_or(Duration::ZERO, |r| r.wall);
+                    wall_sum += wall.as_nanos() as f64;
+                    runs += 1;
+                    JobOutcome {
+                        policy: kind,
+                        cached: !std::mem::take(&mut built),
+                        pattern: key,
+                        concurrent: info.active,
+                        reports,
                     }
-                    Some((policy, pool)) => entry.compiled.try_run(
-                        pool,
-                        *policy,
-                        &mut scratch,
-                        rhs,
-                        out,
-                        token.as_ref(),
-                    )?,
-                };
-                wall_sum += report.wall.as_nanos() as f64;
-                runs += 1;
-                Ok(JobOutcome {
-                    policy: kind,
-                    cached: !std::mem::take(&mut built),
-                    pattern: key,
-                    concurrent: info.active,
-                    reports: (report, None),
-                })
-            })();
+                });
             self.finish_job(key, i, r, sink);
         }
         drop(scratch);

@@ -189,7 +189,7 @@ pub mod service;
 
 pub use batch::{BatchOutcome, Job, JobKind, JobOutcome, LoopSpec, NoBody};
 pub use cache::{CacheStats, PlanCache};
-pub use selector::{AdaptiveState, PolicySelector, ARMS};
+pub use selector::{AdaptiveState, PolicySelector};
 pub use service::{CachedIlu, Runtime, RuntimeConfig, RuntimeStats};
 
 /// Errors surfaced by the runtime service.

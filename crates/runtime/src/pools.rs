@@ -60,17 +60,12 @@ impl<T> LeasePool<T> {
         }
     }
 
-    fn enter(&self) -> u64 {
-        let active = self.active.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak.fetch_max(active, Ordering::Relaxed);
-        active
-    }
-
     /// Takes a resource (building one with `make` only when the free list
     /// is empty) and reports the overlap observed. The resource returns to
     /// the free list when the [`Lease`] drops — also on panic.
     pub fn lease(&self, make: impl FnOnce() -> T) -> (Lease<'_, T>, LeaseInfo) {
-        let active = self.enter();
+        let active = self.active.fetch_add(1, Ordering::Relaxed) + 1;
+        self.peak.fetch_max(active, Ordering::Relaxed);
         let reused = {
             let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
             free.pop()
@@ -87,15 +82,6 @@ impl<T> LeasePool<T> {
             },
             LeaseInfo { created, active },
         )
-    }
-
-    /// Counts an in-flight use that needs **no** resource (e.g. a
-    /// sequential run writing straight to the caller's buffer), so
-    /// overlap observability covers every request. The use ends when the
-    /// guard drops.
-    pub fn track(&self) -> (UseGuard<'_, T>, u64) {
-        let active = self.enter();
-        (UseGuard(self), active)
     }
 
     /// Resources ever built. Never exceeds [`LeasePool::peak`].
@@ -154,17 +140,6 @@ impl<T> Drop for Lease<'_, T> {
         // After the push, so a racing lease that misses the free list is
         // genuinely concurrent with this one (`created() ≤ peak()`).
         self.pool.active.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Marks one resource-free in-flight use of a [`LeasePool`]; see
-/// [`LeasePool::track`].
-#[derive(Debug)]
-pub struct UseGuard<'a, T>(&'a LeasePool<T>);
-
-impl<T> Drop for UseGuard<'_, T> {
-    fn drop(&mut self) {
-        self.0.active.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -279,19 +254,6 @@ mod tests {
         drop(c);
         assert_eq!(pool.created(), 2);
         assert!(pool.created() <= pool.peak());
-    }
-
-    #[test]
-    fn tracked_uses_count_toward_overlap_without_building() {
-        let pool: LeasePool<u32> = LeasePool::new();
-        let (guard, active) = pool.track();
-        assert_eq!(active, 1);
-        let (lease, info) = pool.lease(|| 7);
-        assert_eq!(info.active, 2, "tracked use overlaps the lease");
-        drop(lease);
-        drop(guard);
-        assert_eq!(pool.peak(), 2);
-        assert_eq!(pool.created(), 1);
     }
 
     #[test]

@@ -13,24 +13,15 @@
 //! *measured* one. Everything is deterministic — exploration is by
 //! bookkeeping, not randomness.
 //!
+//! The candidate arms are [`ExecutorKind::ALL`], and every per-arm array
+//! is indexed by the kind's tag (`kind as usize`). `Sequential` is a
+//! genuine candidate: for small or serial patterns the model (correctly)
+//! predicts that forking a team cannot pay for itself.
+//!
 //! [`ExecReport`]: rtpl_executor::ExecReport
 
-use rtpl_executor::PlannedLoop;
-use rtpl_krylov::ExecutorKind;
+use rtpl_executor::{ExecutorKind, PlannedLoop};
 use rtpl_sim::{self as sim, CostModel};
-
-/// The candidate arms — [`ExecutorKind::ALL`], in its canonical order
-/// (indices into every per-arm array). `Sequential` is a genuine
-/// candidate: for small or serial patterns the model (correctly) predicts
-/// that forking a team cannot pay for itself.
-pub const ARMS: [ExecutorKind; 5] = ExecutorKind::ALL;
-
-/// Index of `kind` in [`ARMS`].
-pub fn arm_index(kind: ExecutorKind) -> usize {
-    ARMS.iter()
-        .position(|&k| k == kind)
-        .expect("invariant: every ExecutorKind is an arm")
-}
 
 /// Explore any unmeasured arm whose predicted time is within this factor
 /// of the best prediction; arms predicted far off the pace are never paid
@@ -117,8 +108,8 @@ impl PolicySelector {
         self.host_procs
     }
 
-    /// Predicted time of every arm for one planned loop, indexed as
-    /// [`ARMS`]. Weights are the row-substitution flop counts (1 + deps),
+    /// Predicted time of every arm for one planned loop, indexed by tag.
+    /// Weights are the row-substitution flop counts (1 + deps),
     /// matching how every table harness in the workspace weighs indices.
     /// `Doacross` is `+∞` for non-forward graphs (it cannot run there).
     pub fn predict(&self, plan: &PlannedLoop) -> [f64; 5] {
@@ -127,7 +118,7 @@ impl PolicySelector {
         let weights: Vec<f64> = (0..g.n()).map(|i| 1.0 + g.deps(i).len() as f64).collect();
         let w = Some(&weights[..]);
         let mut out = [f64::INFINITY; 5];
-        out[arm_index(ExecutorKind::Sequential)] = sim::sim_sequential(g.n(), w, &self.cost);
+        out[ExecutorKind::Sequential as usize] = sim::sim_sequential(g.n(), w, &self.cost);
         // Host honesty: with the schedule's processor count at or above the
         // cores actually present, the parallel simulations model a machine
         // that does not exist — their results would be clamped to +∞
@@ -139,13 +130,13 @@ impl PolicySelector {
                 return out;
             }
         }
-        out[arm_index(ExecutorKind::SelfExecuting)] =
+        out[ExecutorKind::SelfExecuting as usize] =
             sim::sim_self_executing(s, g, w, &self.cost).time;
-        out[arm_index(ExecutorKind::PreScheduled)] = sim::sim_pre_scheduled(s, w, &self.cost).time;
-        out[arm_index(ExecutorKind::PreScheduledElided)] =
+        out[ExecutorKind::PreScheduled as usize] = sim::sim_pre_scheduled(s, w, &self.cost).time;
+        out[ExecutorKind::PreScheduledElided as usize] =
             sim::sim_pre_scheduled_elided(s, plan.barrier_plan(), w, &self.cost).time;
         if g.is_forward() {
-            out[arm_index(ExecutorKind::Doacross)] =
+            out[ExecutorKind::Doacross as usize] =
                 sim::sim_doacross(g, s.nprocs(), w, &self.cost).time;
         }
         out
@@ -203,7 +194,7 @@ impl AdaptiveState {
 
     /// The measured-best arm (the steady-state incumbent).
     fn incumbent(&self) -> Option<usize> {
-        (0..ARMS.len())
+        (0..ExecutorKind::ALL.len())
             .filter(|&k| self.count[k] > 0)
             .min_by(|&a, &b| self.measured[a].total_cmp(&self.measured[b]))
     }
@@ -229,11 +220,11 @@ impl AdaptiveState {
     /// Everything is deterministic: bookkeeping, not randomness.
     pub fn choose(&mut self) -> ExecutorKind {
         let best_prior = self.prior.iter().cloned().fold(f64::INFINITY, f64::min);
-        let explore = (0..ARMS.len())
+        let explore = (0..ExecutorKind::ALL.len())
             .filter(|&k| self.count[k] == 0 && self.prior[k] <= best_prior * EXPLORE_FACTOR)
             .min_by(|&a, &b| self.prior[a].total_cmp(&self.prior[b]));
         if let Some(k) = explore {
-            return ARMS[k];
+            return ExecutorKind::ALL[k];
         }
         // The exploration phase always measures at least one arm first.
         let best = self
@@ -243,7 +234,7 @@ impl AdaptiveState {
             && self.total.is_multiple_of(REEXPLORE_EVERY)
             && self.challenged_at != self.total
         {
-            let challenger = (0..ARMS.len())
+            let challenger = (0..ExecutorKind::ALL.len())
                 .filter(|&k| {
                     k != best
                         && self.count[k] > 0
@@ -253,16 +244,16 @@ impl AdaptiveState {
             if let Some(k) = challenger {
                 if self.lower_bound(k) < self.measured[best] {
                     self.challenged_at = self.total;
-                    return ARMS[k];
+                    return ExecutorKind::ALL[k];
                 }
             }
         }
-        ARMS[best]
+        ExecutorKind::ALL[best]
     }
 
     /// Folds one measured wall time (nanoseconds) into the arm's estimate.
     pub fn observe(&mut self, kind: ExecutorKind, wall_ns: f64) {
-        let k = arm_index(kind);
+        let k = kind as usize;
         if self.count[k] == 0 {
             self.measured[k] = wall_ns;
         } else {
@@ -273,12 +264,12 @@ impl AdaptiveState {
         self.last_obs[k] = self.total;
     }
 
-    /// Runs observed per arm, indexed as [`ARMS`].
+    /// Runs observed per arm, indexed by tag.
     pub fn counts(&self) -> [u64; 5] {
         self.count
     }
 
-    /// The model prior this state was built from, indexed as [`ARMS`].
+    /// The model prior this state was built from, indexed by tag.
     pub fn prior(&self) -> [f64; 5] {
         self.prior
     }
@@ -306,7 +297,7 @@ impl AdaptiveState {
             prior.iter().any(|p| p.is_finite()),
             "at least one arm must be feasible"
         );
-        for k in 0..ARMS.len() {
+        for k in 0..ExecutorKind::ALL.len() {
             if prior[k].is_infinite() {
                 measured[k] = 0.0;
                 count[k] = 0;
@@ -314,7 +305,7 @@ impl AdaptiveState {
         }
         let total: u64 = count.iter().sum();
         let mut last_obs = [0u64; 5];
-        for k in 0..ARMS.len() {
+        for k in 0..ExecutorKind::ALL.len() {
             if count[k] > 0 {
                 last_obs[k] = total;
             }
@@ -349,18 +340,17 @@ mod tests {
         let plan = mesh_plan(20, 20, 4);
         let pred = sel.predict(&plan);
         for (k, &t) in pred.iter().enumerate() {
-            assert!(t.is_finite() && t > 0.0, "{:?}: {t}", ARMS[k]);
+            assert!(t.is_finite() && t > 0.0, "{:?}: {t}", ExecutorKind::ALL[k]);
         }
         // Barrier elision can only help the barrier discipline.
         assert!(
-            pred[arm_index(ExecutorKind::PreScheduledElided)]
-                <= pred[arm_index(ExecutorKind::PreScheduled)]
+            pred[ExecutorKind::PreScheduledElided as usize]
+                <= pred[ExecutorKind::PreScheduled as usize]
         );
         // On a big wavefront-rich mesh under Multimax costs, the paper's
         // recommended self-executing discipline beats plain barriers.
         assert!(
-            pred[arm_index(ExecutorKind::SelfExecuting)]
-                < pred[arm_index(ExecutorKind::PreScheduled)]
+            pred[ExecutorKind::SelfExecuting as usize] < pred[ExecutorKind::PreScheduled as usize]
         );
     }
 
@@ -370,12 +360,16 @@ mod tests {
         // Plan wants 4 virtual processors; host has only 2 cores.
         let plan = mesh_plan(20, 20, 4);
         let clamped = PolicySelector::with_host_procs(cost, Some(2)).predict(&plan);
-        let seq = arm_index(ExecutorKind::Sequential);
+        let seq = ExecutorKind::Sequential as usize;
         for (i, &t) in clamped.iter().enumerate() {
             if i == seq {
                 assert!(t.is_finite() && t > 0.0);
             } else {
-                assert!(t.is_infinite(), "{:?} must be retired", ARMS[i]);
+                assert!(
+                    t.is_infinite(),
+                    "{:?} must be retired",
+                    ExecutorKind::ALL[i]
+                );
             }
         }
         // The clamped prior still satisfies AdaptiveState's invariant and
@@ -434,7 +428,7 @@ mod tests {
         let mut runs = [0u64; 5];
         for _ in 0..steps {
             let k = st.choose();
-            runs[arm_index(k)] += 1;
+            runs[k as usize] += 1;
             st.observe(k, cost(k));
         }
         runs
@@ -467,7 +461,7 @@ mod tests {
             }
         });
         assert!(
-            runs[arm_index(ExecutorKind::Sequential)] >= 5,
+            runs[ExecutorKind::Sequential as usize] >= 5,
             "stale arm was never re-explored: {runs:?}"
         );
         assert_eq!(
@@ -485,7 +479,7 @@ mod tests {
             }
         });
         assert!(
-            tail[arm_index(ExecutorKind::SelfExecuting)] <= 640 / REEXPLORE_EVERY,
+            tail[ExecutorKind::SelfExecuting as usize] <= 640 / REEXPLORE_EVERY,
             "re-exploration must stay periodic: {tail:?}"
         );
     }
@@ -549,7 +543,7 @@ mod tests {
             }
         });
         assert_eq!(
-            runs[arm_index(ExecutorKind::SelfExecuting)],
+            runs[ExecutorKind::SelfExecuting as usize],
             0,
             "an arm {CHALLENGE_CAP}x+ off the pace must stay retired: {runs:?}"
         );
@@ -595,7 +589,7 @@ mod tests {
                 let spike = (100..200).contains(&step);
                 st.observe(
                     k,
-                    40.0 + arm_index(k) as f64 + if spike { 400.0 } else { 0.0 },
+                    40.0 + k as usize as f64 + if spike { 400.0 } else { 0.0 },
                 );
             }
             trace

@@ -3,16 +3,13 @@
 //! circuit breaker. Requests enter through `batch.rs`.
 
 use crate::cache::{CacheStats, PlanCache};
-use crate::pools::{LeasePool, PoolSet};
-use crate::selector::{arm_index, AdaptiveState, PolicySelector, ARMS};
+use crate::pools::{Lease, LeaseInfo, LeasePool, PoolSet};
+use crate::selector::{AdaptiveState, PolicySelector};
 use crate::Result;
 use rtpl_executor::compiled::{CompiledPlan, RunScratch};
-use rtpl_executor::{LoopScratch, PlannedLoop, WorkerPool};
-use rtpl_inspector::{DepGraph, Partition, Schedule, Wavefronts};
-use rtpl_krylov::{
-    CompiledSolveScratch, CompiledTriSolve, ExecutorKind, Precondition, Sorting,
-    TriangularSolvePlan,
-};
+use rtpl_executor::{ExecutorKind, LoopScratch, PlannedLoop, WorkerPool};
+use rtpl_inspector::{DepGraph, Sorting, Wavefronts};
+use rtpl_krylov::{CompiledSolveScratch, CompiledTriSolve, Precondition, TriangularSolvePlan};
 use rtpl_sim::{calibrate, CostModel};
 use rtpl_sparse::ilu::IluFactors;
 use rtpl_sparse::wire::{WireError, WireReader, WireWriter};
@@ -112,7 +109,7 @@ pub struct RuntimeStats {
     pub batch_jobs: u64,
     /// Worker pools ever spawned (the concurrency high-water mark).
     pub pools_created: u64,
-    /// Runs executed per policy, indexed as [`ARMS`].
+    /// Runs executed per policy, indexed by the [`ExecutorKind`] tag.
     pub policy_runs: [u64; 5],
     /// Executor scratches ever built across all cached entries — grows
     /// only when requests for one pattern overlap (each entry reuses a
@@ -178,14 +175,15 @@ pub struct RuntimeStats {
 impl RuntimeStats {
     /// Runs executed under `kind`.
     pub fn runs_for(&self, kind: ExecutorKind) -> u64 {
-        self.policy_runs[arm_index(kind)]
+        self.policy_runs[kind as usize]
     }
 
     /// The most-run policy (the service's steady-state choice).
     pub fn dominant_policy(&self) -> ExecutorKind {
-        ARMS[(0..ARMS.len())
-            .max_by_key(|&k| self.policy_runs[k])
-            .expect("invariant: ARMS is non-empty")]
+        ExecutorKind::ALL
+            .into_iter()
+            .max_by_key(|&k| self.policy_runs[k as usize])
+            .expect("invariant: there are five kinds")
     }
 
     /// Renders the counters as plaintext `name value` lines — the format
@@ -228,45 +226,47 @@ impl RuntimeStats {
         line("coalesce_phases_before", self.coalesce_phases_before);
         line("coalesce_phases_after", self.coalesce_phases_after);
         line("supernode_positions", self.supernode_positions);
-        for (k, kind) in ARMS.iter().enumerate() {
+        for kind in ExecutorKind::ALL {
             line(
                 &format!("policy_runs_{}", format!("{kind:?}").to_lowercase()),
-                self.policy_runs[k],
+                self.policy_runs[kind as usize],
             );
         }
         out
     }
 }
 
-/// Cached state for one factor structure: the immutable compiled plan
-/// (shared by every in-flight request) plus a lease pool of per-run
-/// scratches. N threads hitting the same fingerprint run N solves in
-/// parallel — the expensive part (schedules, compiled layouts, barrier
-/// plans) exists once, the cheap part (epoch-stamped buffers, gathered
-/// values) is replicated on demand and recycled. Only the adaptive
-/// explore/exploit bookkeeping sits behind a (briefly held) mutex.
-pub struct SolveEntry {
-    pub(crate) compiled: CompiledTriSolve,
+/// Cached state for one structure — a [`CompiledTriSolve`], a
+/// [`PlannedLoop`] or a [`CompiledPlan`]: the immutable plan (shared by
+/// every in-flight request) plus a lease pool of per-run scratches, so N
+/// threads on one fingerprint run N executions in parallel. Only the
+/// adaptive explore/exploit bookkeeping sits behind a (briefly held) mutex.
+pub(crate) struct Entry<P, S> {
+    pub(crate) plan: P,
+    /// Sizes a fresh scratch for `plan` (its `scratch` method).
+    new_scratch: fn(&P) -> S,
     pub(crate) adaptive: Mutex<AdaptiveState>,
-    pub(crate) scratches: LeasePool<CompiledSolveScratch>,
+    scratches: LeasePool<S>,
 }
 
-/// Cached state for one generic loop structure, split exactly like
-/// [`SolveEntry`]: one shared [`PlannedLoop`], leased [`LoopScratch`]es.
-pub struct LoopEntry {
-    pub(crate) plan: PlannedLoop,
-    pub(crate) adaptive: Mutex<AdaptiveState>,
-    pub(crate) scratches: LeasePool<LoopScratch>,
+impl<P, S> Entry<P, S> {
+    fn new(plan: P, new_scratch: fn(&P) -> S, adaptive: AdaptiveState) -> Self {
+        Entry {
+            plan,
+            new_scratch,
+            adaptive: Mutex::new(adaptive),
+            scratches: LeasePool::new(),
+        }
+    }
+
+    /// Leases a scratch, building one only when every other is in use.
+    pub(crate) fn lease(&self) -> (Lease<'_, S>, LeaseInfo) {
+        self.scratches.lease(|| (self.new_scratch)(&self.plan))
+    }
 }
 
-/// Cached state for one compiled linear-recurrence loop structure
-/// ([`crate::JobKind::LinearLoop`]): the
-/// schedule-order [`CompiledPlan`] layout plus leased [`RunScratch`]es.
-pub struct LinearEntry {
-    pub(crate) compiled: CompiledPlan,
-    pub(crate) adaptive: Mutex<AdaptiveState>,
-    pub(crate) scratches: LeasePool<RunScratch>,
-}
+/// A solve entry: one factor structure's compiled solve.
+pub(crate) type SolveEntry = Entry<CompiledTriSolve, CompiledSolveScratch>;
 
 /// The multi-client solver service: concurrent plan caches in front of the
 /// inspector, an adaptive policy selector in front of the executors. See
@@ -276,8 +276,8 @@ pub struct Runtime {
     pub(crate) selector: PolicySelector,
     pub(crate) pools: PoolSet,
     pub(crate) solves: PlanCache<SolveEntry>,
-    pub(crate) loops: PlanCache<LoopEntry>,
-    pub(crate) linears: PlanCache<LinearEntry>,
+    pub(crate) loops: PlanCache<Entry<PlannedLoop, LoopScratch>>,
+    pub(crate) linears: PlanCache<Entry<CompiledPlan, RunScratch>>,
     pub(crate) policy_runs: [AtomicU64; 5],
     pub(crate) scratches_created: AtomicU64,
     pub(crate) peak_same_pattern: AtomicU64,
@@ -516,7 +516,7 @@ impl Runtime {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .observe(kind, wall_ns_sum / runs as f64);
-        self.policy_runs[arm_index(kind)].fetch_add(runs, Ordering::Relaxed);
+        self.policy_runs[kind as usize].fetch_add(runs, Ordering::Relaxed);
     }
 
     /// Acquires one solve pattern's entry: the memory-cache miss path of
@@ -592,11 +592,11 @@ impl Runtime {
             self.verify_or_reject(rtpl_verify::verify_tri_solve(&compiled))?;
         }
         self.note_solve_plan(&compiled);
-        Ok(SolveEntry {
+        Ok(Entry::new(
             compiled,
-            adaptive: Mutex::new(AdaptiveState::new(prior)),
-            scratches: LeasePool::new(),
-        })
+            CompiledTriSolve::scratch,
+            AdaptiveState::new(prior),
+        ))
     }
 
     /// Folds one plan-verification verdict into the counters, mapping a
@@ -663,7 +663,7 @@ impl Runtime {
         drop(adaptive);
         let cost = self.selector.cost_model();
         let mut w = WireWriter::new();
-        w.put_u8s(&entry.compiled.encode_artifact());
+        w.put_u8s(&entry.plan.encode_artifact());
         // The coalescing grain is part of the prior's context: a restarted
         // runtime with a different grain would schedule (and price) the
         // pattern differently, so its stored prior must not resume.
@@ -741,11 +741,11 @@ impl Runtime {
             self.solve_prior(compiled.plan())
         };
         self.note_solve_plan(&compiled);
-        Ok(SolveEntry {
+        Ok(Entry::new(
             compiled,
-            adaptive: Mutex::new(AdaptiveState::resume(prior, measured, count)),
-            scratches: LeasePool::new(),
-        })
+            CompiledTriSolve::scratch,
+            AdaptiveState::resume(prior, measured, count),
+        ))
     }
 
     /// Queues one entry's payload on the store's write-behind channel.
@@ -757,15 +757,17 @@ impl Runtime {
         }
     }
 
+    /// The cold path shared by loop and linear groups: `g`'s plan under
+    /// this runtime's processor count, sorting and coalescing grain.
+    fn plan_loop(&self, g: DepGraph) -> Result<PlannedLoop> {
+        let (wf, cfg) = (Wavefronts::compute(&g)?, &self.cfg);
+        Ok(PlannedLoop::build(g, &wf, cfg.sorting, cfg.nprocs, self.coalesce_grain())?.0)
+    }
+
     /// Schedules one generic loop structure (the cold path of loop
     /// groups).
-    pub(crate) fn build_loop_entry(&self, g: DepGraph) -> Result<LoopEntry> {
-        let wf = Wavefronts::compute(&g)?;
-        let mut schedule = self.build_schedule(&wf, g.n())?;
-        if let Some(grain) = self.coalesce_grain() {
-            schedule = schedule.coalesce(&g, grain)?.0;
-        }
-        let plan = PlannedLoop::new(g, schedule)?;
+    pub(crate) fn build_loop_entry(&self, g: DepGraph) -> Result<Entry<PlannedLoop, LoopScratch>> {
+        let plan = self.plan_loop(g)?;
         if VERIFY_FRESH_PLANS {
             self.verify_or_reject(rtpl_verify::verify_plan(
                 plan.graph(),
@@ -774,45 +776,31 @@ impl Runtime {
             ))?;
         }
         let prior = self.selector.predict(&plan);
-        Ok(LoopEntry {
+        Ok(Entry::new(
             plan,
-            adaptive: Mutex::new(AdaptiveState::new(prior)),
-            scratches: LeasePool::new(),
-        })
+            PlannedLoop::scratch,
+            AdaptiveState::new(prior),
+        ))
     }
 
     /// Schedules **and compiles** one linear-recurrence loop structure
     /// into its schedule-order layout (the cold path of linear groups).
-    pub(crate) fn build_linear_entry(&self, spec: &crate::LoopSpec) -> Result<LinearEntry> {
-        let g = spec.graph().clone();
-        let wf = Wavefronts::compute(&g)?;
-        let mut schedule = self.build_schedule(&wf, g.n())?;
-        if let Some(grain) = self.coalesce_grain() {
-            schedule = schedule.coalesce(&g, grain)?.0;
-        }
-        let plan = PlannedLoop::new(g, schedule)?;
+    pub(crate) fn build_linear_entry(
+        &self,
+        spec: &crate::LoopSpec,
+    ) -> Result<Entry<CompiledPlan, RunScratch>> {
+        let plan = self.plan_loop(spec.graph().clone())?;
         let prior = self.selector.predict(&plan);
         let cspec = rtpl_executor::compiled::CompiledSpec::linear_from_graph(plan.graph());
         let compiled = CompiledPlan::compile(&plan, &cspec).map_err(map_compiled)?;
         if VERIFY_FRESH_PLANS {
             self.verify_or_reject(rtpl_verify::verify_linear(&plan, &compiled))?;
         }
-        Ok(LinearEntry {
+        Ok(Entry::new(
             compiled,
-            adaptive: Mutex::new(AdaptiveState::new(prior)),
-            scratches: LeasePool::new(),
-        })
-    }
-
-    /// The schedule the configured sorting discipline prescribes.
-    fn build_schedule(&self, wf: &Wavefronts, n: usize) -> Result<Schedule> {
-        Ok(match self.cfg.sorting {
-            Sorting::Global => Schedule::global(wf, self.cfg.nprocs)?,
-            Sorting::LocalStriped => Schedule::local(wf, &Partition::striped(n, self.cfg.nprocs)?)?,
-            Sorting::LocalContiguous => {
-                Schedule::local(wf, &Partition::contiguous(n, self.cfg.nprocs)?)?
-            }
-        })
+            CompiledPlan::scratch,
+            AdaptiveState::new(prior),
+        ))
     }
 
     /// The configuration in use.
@@ -1382,7 +1370,7 @@ mod tests {
         // an arm it retired. (Resume *semantics* — exploit-not-explore,
         // host-honesty drops — are pinned down in the selector tests.)
         assert!(
-            learned_counts[arm_index(out.policy)] > 0,
+            learned_counts[out.policy as usize] > 0,
             "post-restart policy {:?} was never measured before the restart",
             out.policy
         );

@@ -13,7 +13,7 @@
 //! | 3 | → | [`Request::SolveByFingerprint`] | fingerprint, rhs `b` |
 //! | 4 | → | [`Request::Stats`] | — |
 //! | 5 | → | [`Request::Shutdown`] | — |
-//! | 128 | ← | [`Response::Solved`] | cached flag, policy index, `x` |
+//! | 128 | ← | [`Response::Solved`] | cached flag, policy tag, `x` |
 //! | 129 | ← | [`Response::WarmStatus`] | [`WarmLevel`] byte |
 //! | 130 | ← | [`Response::RetryAfter`] | delay ms, [`RetryReason`] |
 //! | 131 | ← | [`Response::Error`] | code, message |
@@ -189,7 +189,8 @@ impl RetryReason {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
     /// The solution vector, with provenance: whether the plan was cached
-    /// and which policy index (as in `rtpl_runtime::ARMS`) executed.
+    /// and which executor ran the solve — its `ExecutorKind` tag
+    /// (`kind as u8`; `ExecutorKind::from_tag` reads it back).
     Solved {
         cached: bool,
         policy: u8,

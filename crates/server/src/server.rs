@@ -22,7 +22,6 @@
 
 use crate::histogram::Histogram;
 use crate::proto::{self, err_code, Request, Response, RetryReason, WarmLevel, REQUEST_KINDS};
-use rtpl_runtime::selector::arm_index;
 use rtpl_runtime::{Job, NoBody, Runtime, RuntimeConfig, RuntimeError};
 use rtpl_sparse::failpoint;
 use rtpl_sparse::{IluFactors, PatternFingerprint};
@@ -996,7 +995,7 @@ fn dispatcher_loop(inner: &Arc<Inner>) {
             let resp = match result {
                 Ok(out) => Response::Solved {
                     cached: out.cached,
-                    policy: arm_index(out.policy) as u8,
+                    policy: out.policy as u8,
                     x,
                 },
                 Err(e) => Response::Error {

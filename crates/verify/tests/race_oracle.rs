@@ -14,7 +14,7 @@
 
 use rtpl_executor::trace;
 use rtpl_executor::{
-    CompiledPlan, CompiledSpec, ExecPolicy, LoopBody, PlannedLoop, ValueSource, WorkerPool,
+    CompiledPlan, CompiledSpec, ExecutorKind, LoopBody, PlannedLoop, ValueSource, WorkerPool,
 };
 use rtpl_inspector::{BarrierPlan, DepGraph, Partition, Schedule, Wavefronts};
 use rtpl_sparse::rng::SmallRng;
@@ -55,11 +55,11 @@ fn random_dag(n: usize, seed: u64) -> DepGraph {
     .expect("forward deps form a DAG")
 }
 
-const POLICIES: [ExecPolicy; 4] = [
-    ExecPolicy::SelfExecuting,
-    ExecPolicy::PreScheduled,
-    ExecPolicy::PreScheduledElided,
-    ExecPolicy::Doacross,
+const POLICIES: [ExecutorKind; 4] = [
+    ExecutorKind::SelfExecuting,
+    ExecutorKind::PreScheduled,
+    ExecutorKind::PreScheduledElided,
+    ExecutorKind::Doacross,
 ];
 
 /// The equivalence sweep, under the oracle: every policy × 1/2/4
@@ -79,7 +79,7 @@ fn healthy_plans_replay_race_free_across_policies_and_procs() {
             };
             for policy in POLICIES {
                 let mut out = vec![0.0; n];
-                let (_, events) = trace::capture(|| plan.run(&pool, policy, &body, &mut out));
+                let (_, events) = trace::capture(|| plan.run(Some(&pool), policy, &body, &mut out));
                 let report = check_trace(nprocs, &events)
                     .unwrap_or_else(|e| panic!("seed {seed:#x} {policy:?} x{nprocs}: {e}"));
                 assert!(
@@ -122,7 +122,7 @@ fn coalesced_plans_replay_race_free_across_policies_and_procs() {
             };
             for policy in POLICIES {
                 let mut out = vec![0.0; n];
-                let (_, events) = trace::capture(|| plan.run(&pool, policy, &body, &mut out));
+                let (_, events) = trace::capture(|| plan.run(Some(&pool), policy, &body, &mut out));
                 let report = check_trace(nprocs, &events).unwrap_or_else(|e| {
                     panic!("coalesced seed {seed:#x} {policy:?} x{nprocs}: {e}")
                 });
@@ -167,7 +167,7 @@ fn compiled_plans_replay_race_free_across_policies_and_procs() {
                     let what = format!("{name} {shape} {policy:?} x{nprocs}");
                     let mut out = vec![0.0; n];
                     let (result, events) = trace::capture(|| {
-                        compiled.try_run(&pool, policy, &mut scratch, &rhs, &mut out, None)
+                        compiled.try_run(Some(&pool), policy, &mut scratch, &rhs, &mut out, None)
                     });
                     result.unwrap_or_else(|e| panic!("{what}: {e}"));
                     let report =
@@ -241,7 +241,7 @@ fn intra_phase_misorder_is_flagged_statically_and_dynamically() {
     let pool = WorkerPool::new(2);
     let mut out = vec![0.0; 2];
     let (_, events) =
-        trace::capture(|| plan.run(&pool, ExecPolicy::PreScheduled, &RacyBody, &mut out));
+        trace::capture(|| plan.run(Some(&pool), ExecutorKind::PreScheduled, &RacyBody, &mut out));
     match check_trace(2, &events) {
         Err(RaceError::UnsynchronizedRead { row, .. }) => assert_eq!(row, 0),
         Err(other) => panic!("flagged, but not as an unsynchronized read: {other}"),
@@ -274,8 +274,8 @@ fn cancelled_run_replays_without_false_positives() {
     let (result, events) = trace::capture(|| {
         plan.try_run_in(
             &mut scratch,
-            &pool,
-            ExecPolicy::PreScheduled,
+            Some(&pool),
+            ExecutorKind::PreScheduled,
             &body,
             &mut out,
             Some(&token),
@@ -311,8 +311,8 @@ fn cancelled_compiled_run_replays_without_false_positives() {
     let mut out = vec![0.0; n];
     let (result, events) = trace::capture(|| {
         compiled.try_run(
-            &pool,
-            ExecPolicy::PreScheduled,
+            Some(&pool),
+            ExecutorKind::PreScheduled,
             &mut scratch,
             &rhs,
             &mut out,
@@ -386,8 +386,14 @@ fn over_elided_barrier_plan_is_flagged_statically_and_dynamically() {
     let plan = PlannedLoop::from_parts(g, schedule, empty).unwrap();
     let pool = WorkerPool::new(2);
     let mut out = vec![0.0; 4];
-    let (_, events) =
-        trace::capture(|| plan.run(&pool, ExecPolicy::PreScheduledElided, &RacyBody, &mut out));
+    let (_, events) = trace::capture(|| {
+        plan.run(
+            Some(&pool),
+            ExecutorKind::PreScheduledElided,
+            &RacyBody,
+            &mut out,
+        )
+    });
     match check_trace(2, &events) {
         Err(RaceError::UnsynchronizedRead { row, .. }) => {
             assert!(row == 0 || row == 1, "flagged the wrong row: {row}");

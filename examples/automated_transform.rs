@@ -9,15 +9,19 @@
 //! ```
 //!
 //! and emits (1) a run-time dependence analysis + scheduler and (2) a
-//! transformed executor loop. `rtpl::transform` plays the compiler: the
-//! body is described as a tiny stack program over named arrays, `compile`
-//! validates it and extracts the dependences symbolically, and `run`
-//! schedules + executes it.
+//! transformed executor loop. `rtpl::transform` plays the compiler's front
+//! end: the body is described as a tiny stack program over named arrays,
+//! and `compile` validates it, extracts the dependences symbolically and
+//! inspects them. The result is an ordinary loop body, so it runs through
+//! the same doors as a hand-written one: a directly scheduled plan, or the
+//! runtime service, which caches the plan and picks the executor.
 //!
 //! Run with: `cargo run --release --example automated_transform`
 
-use rtpl::transform::{compile, Env, ExecChoice, LoopSpec, Op};
-use rtpl::{executor::WorkerPool, Scheduling};
+use rtpl::executor::WorkerPool;
+use rtpl::runtime::{Job, Runtime, RuntimeConfig};
+use rtpl::transform::{compile, Env, LoopProgram, Op};
+use rtpl::{ExecutorKind, Sorting};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 64usize;
@@ -35,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let xold: Vec<f64> = (0..n).map(|i| ((i % 9) as f64) - 4.0).collect();
 
     // --- what the compiler emits from the annotated loop ------------------
-    let spec = LoopSpec {
+    let program = LoopProgram {
         n,
         // x(i) = xold(i) + b(i) * x(ia(i))
         ops: vec![
@@ -50,31 +54,55 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         xold: xold.clone(),
         ..Default::default()
     };
-    env.data.insert("b", b.clone());
-    env.data.insert("x0", xold.clone());
-    env.index_arrays.insert("ia", ia.clone());
+    env.data.insert("b", b);
+    env.data.insert("x0", xold);
+    env.index_arrays.insert("ia", ia);
 
-    // --- compile-time steps 1-3: validate, extract dependences ------------
-    let compiled = compile(spec, env)?;
+    // --- compile-time steps 1-3: validate, extract dependences, inspect ---
+    let compiled = compile(program, env)?;
+    let inspector = compiled.inspector();
     println!(
         "compiled: {} indices, {} dependence edges, {} wavefronts",
         n,
-        compiled.graph().num_edges(),
-        compiled.num_wavefronts()
+        inspector.graph().num_edges(),
+        inspector.num_wavefronts()
     );
 
-    // --- run-time steps 4-5: schedule and execute --------------------------
+    // --- run-time steps 4-5, door 1: schedule once, run under any kind -----
     let pool = WorkerPool::new(4);
-    let x_seq = compiled.run(&pool, Scheduling::Global, ExecChoice::Sequential)?;
-    for (strategy, exec) in [
-        (Scheduling::Global, ExecChoice::SelfExecuting),
-        (Scheduling::LocalStriped, ExecChoice::SelfExecuting),
-        (Scheduling::Global, ExecChoice::PreScheduled),
+    let mut x_seq = vec![0.0; n];
+    inspector.schedule(Sorting::Global, 1)?.run(
+        None,
+        ExecutorKind::Sequential,
+        &compiled,
+        &mut x_seq,
+    );
+    for (sorting, kind) in [
+        (Sorting::Global, ExecutorKind::SelfExecuting),
+        (Sorting::LocalStriped, ExecutorKind::SelfExecuting),
+        (Sorting::Global, ExecutorKind::PreScheduled),
     ] {
-        let x = compiled.run(&pool, strategy, exec)?;
-        assert_eq!(x, x_seq, "{strategy:?}/{exec:?}");
-        println!("{strategy:?} + {exec:?}: matches sequential");
+        let mut x = vec![0.0; n];
+        inspector
+            .schedule(sorting, pool.nworkers())?
+            .run(Some(&pool), kind, &compiled, &mut x);
+        assert_eq!(x, x_seq, "{sorting:?}/{kind:?}");
+        println!("{sorting:?} + {kind:?}: matches sequential");
     }
+
+    // --- door 2: the runtime plans the structure once and serves it --------
+    let rt = Runtime::new(RuntimeConfig::default());
+    let spec = inspector.clone().into_spec();
+    for _ in 0..2 {
+        let mut x = vec![0.0; n];
+        let outcome = rt.submit(Job::looped(&spec, &compiled, &mut x))?;
+        assert_eq!(x, x_seq);
+        println!(
+            "runtime: cached = {}, executor = {:?}: matches sequential",
+            outcome.cached, outcome.policy
+        );
+    }
+    println!("loop plans built: {}", rt.stats().loops.builds);
     println!("x[0..6] = {:?}", &x_seq[..6]);
     Ok(())
 }

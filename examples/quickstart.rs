@@ -10,15 +10,16 @@
 //! compiler can schedule this statically. The `doconsider` pipeline
 //! inspects `ia`, sorts indices into wavefronts, and builds a
 //! [`PlannedLoop`] — planned once, then executable under **any**
-//! synchronization discipline through the single generic entry point
-//! `plan.run(&pool, policy, &body, &mut x)`.
+//! [`ExecutorKind`] (the natural-order loop or one of the four
+//! synchronization disciplines) through the single generic entry point
+//! `plan.run(Some(&pool), kind, &body, &mut x)`.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use rtpl::prelude::*;
 
 /// The Figure 2 loop body. Implementing [`LoopBody`] (rather than passing a
-/// closure) lets the *same* body run under every [`ExecPolicy`] with full
+/// closure) lets the *same* body run under every [`ExecutorKind`] with full
 /// static dispatch — the executor monomorphizes `eval` against its own
 /// value source.
 struct Figure2<'a> {
@@ -62,9 +63,9 @@ fn main() -> Result<(), rtpl::inspector::InspectorError> {
 
     // --- Plan (global sort, 4 processors; owns schedule + buffers) --------
     let nprocs = 4;
-    let plan = inspector.schedule(Scheduling::Global, nprocs)?;
+    let plan = inspector.schedule(Sorting::Global, nprocs)?;
 
-    // --- Execute: one plan, every discipline ------------------------------
+    // --- Execute: one plan, every executor kind ---------------------------
     let pool = WorkerPool::new(nprocs);
     let mut expect = xold.clone();
     for i in 0..n {
@@ -75,16 +76,16 @@ fn main() -> Result<(), rtpl::inspector::InspectorError> {
         };
         expect[i] = xold[i] + b[i] * operand;
     }
-    for policy in ExecPolicy::ALL {
+    for kind in ExecutorKind::ALL {
         let mut x = vec![0.0f64; n];
-        let report = plan.run(&pool, policy, &body, &mut x);
-        assert_eq!(x, expect, "{policy:?} must match the sequential loop");
+        let report = plan.run(Some(&pool), kind, &body, &mut x);
+        assert_eq!(x, expect, "{kind:?} must match the untransformed loop");
         println!(
-            "{policy:?}: {} barriers, {} stalls, load {:?}",
+            "{kind:?}: {} barriers, {} stalls, load {:?}",
             report.barriers, report.stalls, report.iters_per_proc
         );
     }
     println!("x[0..8] = {:?}", &expect[..8]);
-    println!("OK: all four policies match sequential execution.");
+    println!("OK: every executor kind matches the untransformed loop.");
     Ok(())
 }

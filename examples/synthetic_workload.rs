@@ -48,9 +48,14 @@ fn main() -> Result<(), rtpl::inspector::InspectorError> {
     let weights: Vec<f64> = (0..n).map(|i| 1.0 + g.deps(i).len() as f64).collect();
     let plan = PlannedLoop::new(g.clone(), schedule)?;
     let mut out_par = vec![0.0; n];
-    plan.run(&pool, ExecPolicy::SelfExecuting, &DepSum(&g), &mut out_par);
+    plan.run(
+        Some(&pool),
+        ExecutorKind::SelfExecuting,
+        &DepSum(&g),
+        &mut out_par,
+    );
     let mut out_seq = vec![0.0; n];
-    plan.run_sequential(&DepSum(&g), &mut out_seq);
+    plan.run(None, ExecutorKind::Sequential, &DepSum(&g), &mut out_seq);
     assert_eq!(out_par, out_seq);
     println!("3-thread self-executing run matches sequential.\n");
 

@@ -20,6 +20,13 @@
 //!    allowlist cannot rot: an entry whose file is gone, or no longer
 //!    uses an atomic ordering outside test code, is itself a finding.
 //! 4. **No `static mut`**, anywhere, ever.
+//! 5. **One name, one type** (`duplicate-public-type`) — a `pub struct`,
+//!    `pub enum` or `pub trait` name is defined in one product file only.
+//! 6. **One choice, one enum** (`duplicate-enum-variants`) — no two
+//!    `pub enum`s carry the same set of variant names.
+//!
+//! Rules 5 and 6 look across files and skip `crates/bench/src/bin/benchmark/`,
+//! a package of its own.
 //!
 //! Exit status 0 when clean; 1 with one `path:line: rule: message` per
 //! finding otherwise. Run from anywhere: the workspace root is baked in
@@ -76,13 +83,18 @@ fn main() {
     files.sort();
 
     let mut findings = Vec::new();
+    let mut sources = Vec::new();
     for rel in &files {
         let path = root.join(rel);
         match std::fs::read_to_string(&path) {
-            Ok(src) => lint_file(rel, &src, &mut findings),
+            Ok(src) => {
+                lint_file(rel, &src, &mut findings);
+                sources.push((rel.to_string_lossy().replace('\\', "/"), src));
+            }
             Err(e) => findings.push(format!("{}:0: io: cannot read: {e}", rel.display())),
         }
     }
+    findings.extend(vocabulary(&sources));
     for rel in ORDERING_ALLOWLIST {
         let src = std::fs::read_to_string(root.join(rel)).ok();
         findings.extend(stale_allowlist_entry(rel, src.as_deref()));
@@ -226,6 +238,100 @@ fn lint_file(rel: &Path, src: &str, findings: &mut Vec<String>) {
             }
         }
     }
+}
+
+/// A `pub struct|enum|trait` in non-test code, with an enum's sorted
+/// variant names (`None` for structs, traits and one-variant enums).
+struct PubType<'a> {
+    file: &'a str,
+    line: usize,
+    name: String,
+    variants: Option<Vec<String>>,
+}
+
+/// Rules 5 and 6 over every `(path, source)` pair of the product.
+fn vocabulary(sources: &[(String, String)]) -> Vec<String> {
+    let types: Vec<PubType> = sources
+        .iter()
+        .filter(|(rel, _)| !rel.starts_with("crates/bench/src/bin/benchmark/"))
+        .flat_map(|(rel, src)| pub_types(rel, &mask_tests(&mask_lexical(src))))
+        .collect();
+    let mut findings = Vec::new();
+    for (i, t) in types.iter().enumerate() {
+        let (file, line, name) = (t.file, t.line, &t.name);
+        let earlier = &types[..i];
+        if let Some(u) = earlier.iter().find(|u| u.name == t.name && u.file != file) {
+            findings.push(format!(
+                "{file}:{line}: duplicate-public-type: `{name}` is also defined at {}:{}",
+                u.file, u.line
+            ));
+        }
+        if let Some(u) = earlier
+            .iter()
+            .find(|u| t.variants.is_some() && u.variants == t.variants)
+        {
+            findings.push(format!(
+                "{file}:{line}: duplicate-enum-variants: `{name}` has the variants of `{}` ({}:{})",
+                u.name, u.file, u.line
+            ));
+        }
+    }
+    findings
+}
+
+/// Every `pub struct|enum|trait` in an already masked source.
+fn pub_types<'a>(file: &'a str, masked: &str) -> Vec<PubType<'a>> {
+    let mut out = Vec::new();
+    for off in find_word(masked, "pub") {
+        // `pub(crate)` and friends are not public.
+        let Some(after_pub) = masked[off + 3..].strip_prefix([' ', '\n']) else {
+            continue;
+        };
+        let keyword = leading_ident(after_pub.trim_start());
+        if matches!(keyword, "struct" | "enum" | "trait") {
+            let decl = after_pub.trim_start()[keyword.len()..].trim_start();
+            out.push(PubType {
+                file,
+                line: masked[..off].matches('\n').count() + 1,
+                name: leading_ident(decl).to_string(),
+                variants: Some(enum_variants(decl)).filter(|v| keyword == "enum" && v.len() >= 2),
+            });
+        }
+    }
+    out
+}
+
+/// The identifier `s` starts with (empty if none).
+fn leading_ident(s: &str) -> &str {
+    let end = s
+        .find(|c: char| c != '_' && !c.is_ascii_alphanumeric())
+        .unwrap_or(s.len());
+    &s[..end]
+}
+
+/// The sorted variant names of the enum declared by `decl` (from its name
+/// on): the leading identifier of each comma-separated item of its body.
+/// Attributes and payloads sit inside brackets, so only the text outside
+/// any bracket names a variant.
+fn enum_variants(decl: &str) -> Vec<String> {
+    let body = decl.find('{').map_or("", |open| &decl[open + 1..]);
+    let (mut top_level, mut depth) = (String::new(), 0usize);
+    for c in body.chars() {
+        match c {
+            '{' | '(' | '[' => depth += 1,
+            '}' | ')' | ']' if depth > 0 => depth -= 1,
+            '}' => break,
+            _ if depth == 0 => top_level.push(c),
+            _ => {}
+        }
+    }
+    let mut names: Vec<String> = top_level
+        .split(',')
+        .map(|item| leading_ident(item.trim_start_matches(['#', ' ', '\n'])).to_string())
+        .filter(|name| !name.is_empty())
+        .collect();
+    names.sort();
+    names
 }
 
 /// Rule 3's other half: an allowlist entry must still earn its place.
@@ -512,6 +618,94 @@ mod tests {
             &mut findings,
         );
         assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    fn sources(files: &[(&str, &str)]) -> Vec<(String, String)> {
+        files
+            .iter()
+            .map(|&(rel, src)| (rel.to_string(), src.to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn a_public_type_name_is_defined_once() {
+        let twice = sources(&[
+            (
+                "crates/a/src/x.rs",
+                "/// doc\npub struct LoopSpec { n: usize }\n",
+            ),
+            ("crates/b/src/y.rs", "fn f() {}\npub struct LoopSpec;\n"),
+        ]);
+        let findings = vocabulary(&twice);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].starts_with("crates/b/src/y.rs:2: duplicate-public-type"));
+        assert!(findings[0].contains("crates/a/src/x.rs:2"), "{findings:?}");
+        // Not a second public definition: crate-private, in a comment or
+        // string, in test code, a use, or inside the benchmark package.
+        let once = sources(&[
+            ("crates/a/src/x.rs", "pub enum Sorting { Global, Local }\n"),
+            (
+                "crates/b/src/y.rs",
+                "pub(crate) enum Sorting { A, B }\n// pub enum Sorting\n",
+            ),
+            (
+                "crates/c/src/z.rs",
+                "#[cfg(test)]\nmod tests { pub enum Sorting { C, D } }\n",
+            ),
+            (
+                "crates/d/src/w.rs",
+                "pub use a::Sorting;\nconst S: &str = \"pub enum Sorting\";\n",
+            ),
+            (
+                "crates/bench/src/bin/benchmark/src/m.rs",
+                "pub enum Sorting { E, F }\n",
+            ),
+        ]);
+        assert!(vocabulary(&once).is_empty(), "{:?}", vocabulary(&once));
+    }
+
+    #[test]
+    fn no_two_enums_share_a_variant_set() {
+        let spelled_twice = sources(&[
+            (
+                "crates/a/src/x.rs",
+                "pub enum Scheduling {\n    Global,\n    LocalStriped,\n    LocalContiguous,\n}\n",
+            ),
+            (
+                "crates/a/src/y.rs",
+                "pub enum Sorting {\n    /// Doc, with a comma.\n    #[default]\n    LocalContiguous = 2,\n    \
+                 Global,\n    LocalStriped\n}\n",
+            ),
+        ]);
+        let findings = vocabulary(&spelled_twice);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(
+            findings[0].contains("duplicate-enum-variants"),
+            "{findings:?}"
+        );
+        assert!(findings[0].contains("`Sorting` has the variants of `Scheduling`"));
+        // Payloads, generics and nested braces do not confuse the parse;
+        // overlapping but different sets, and one-variant enums, pass.
+        let distinct = sources(&[
+            (
+                "crates/a/src/x.rs",
+                "pub enum JobKind<'a, B: Body = NoBody> { Solve { x: &'a [f64], y: (u8, u8) }, \
+                 Loop(Vec<(u32, u32)>), Linear }\npub enum One { Solve }\n",
+            ),
+            (
+                "crates/a/src/y.rs",
+                "pub enum Class { Solve, Loop }\npub enum Two { Solve }\n",
+            ),
+        ]);
+        assert!(
+            vocabulary(&distinct).is_empty(),
+            "{:?}",
+            vocabulary(&distinct)
+        );
+        assert_eq!(
+            enum_variants("JobKind<'a> { Solve { x: u8 }, Loop(Vec<(u32, u32)>), Linear }"),
+            ["Linear", "Loop", "Solve"]
+        );
     }
 
     #[test]

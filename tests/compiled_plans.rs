@@ -1,7 +1,7 @@
 //! Acceptance tests for the compiled execution layout (PR 3 tentpole):
 //! bit-exactness of `CompiledTriSolve` — the only triangular solver —
 //! against a naive substitution loop kept here as test support, over
-//! random DAGs × every `ExecPolicy` arm × 1/2/4 processors. (The
+//! random DAGs × every `ExecutorKind` × 1/2/4 processors. (The
 //! cross-generation check, `CompiledPlan` against `PlannedLoop` +
 //! `LoopBody`, lives beside both in `rtpl-executor`:
 //! `compiled::tests::compiled_matches_planned_loop_all_policies`.)

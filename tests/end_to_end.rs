@@ -30,14 +30,14 @@ fn doconsider_triangular_solve_all_strategies() {
 
     for p in [1usize, 2, 3] {
         let pool = WorkerPool::new(p);
-        for strat in Scheduling::ALL {
+        for strat in Sorting::ALL {
             let plan = DoConsider::from_lower_triangular(&l)
                 .unwrap()
                 .schedule(strat, p)
                 .unwrap();
-            for policy in ExecPolicy::ALL {
+            for policy in ExecutorKind::ALL {
                 let mut out = vec![0.0; n];
-                plan.run(&pool, policy, &body, &mut out);
+                plan.run(Some(&pool), policy, &body, &mut out);
                 assert_eq!(out, expect, "{policy:?} {strat:?} p={p}");
             }
         }
@@ -58,15 +58,15 @@ fn synthetic_workload_end_to_end() {
     assert!(dc.num_wavefronts() >= 2);
     dc.wavefronts().validate(dc.graph()).unwrap();
 
-    let plan = dc.schedule(Scheduling::Global, 3).unwrap();
+    let plan = dc.schedule(Sorting::Global, 3).unwrap();
     plan.schedule().validate(plan.graph()).unwrap();
 
     let pool = WorkerPool::new(3);
     let b = vec![1.0; n];
     let mut out = vec![0.0; n];
     let report = plan.run(
-        &pool,
-        ExecPolicy::SelfExecuting,
+        Some(&pool),
+        ExecutorKind::SelfExecuting,
         &Solve { l: &l, b: &b },
         &mut out,
     );
@@ -119,12 +119,12 @@ fn nested_loop_figure6_semantics() {
     }
 
     let dc = DoConsider::from_nested_index_array(&g).unwrap();
-    let plan = dc.schedule(Scheduling::Global, 2).unwrap();
+    let plan = dc.schedule(Sorting::Global, 2).unwrap();
     let pool = WorkerPool::new(2);
     let mut out = vec![0.0; 6];
     plan.run(
-        &pool,
-        ExecPolicy::SelfExecuting,
+        Some(&pool),
+        ExecutorKind::SelfExecuting,
         &Figure6 {
             g: &g,
             yold: &yold,

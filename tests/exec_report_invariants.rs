@@ -69,14 +69,19 @@ fn iteration_counts_sum_to_n_for_every_policy() {
             let plan = PlannedLoop::new(g.clone(), schedule).unwrap();
             let pool = WorkerPool::new(p);
             let body = DagBody(plan.graph());
-            for policy in ExecPolicy::ALL {
+            for policy in [
+                ExecutorKind::SelfExecuting,
+                ExecutorKind::PreScheduled,
+                ExecutorKind::PreScheduledElided,
+                ExecutorKind::Doacross,
+            ] {
                 let mut out = vec![0.0; n];
-                let report = plan.run(&pool, policy, &body, &mut out);
+                let report = plan.run(Some(&pool), policy, &body, &mut out);
                 check_report_shape(&report, n, p, &format!("case {case}, p {p}, {policy:?}"));
             }
             // The sequential reference reports one virtual processor.
             let mut out = vec![0.0; n];
-            let seq = plan.run_sequential(&body, &mut out);
+            let seq = plan.run(None, ExecutorKind::Sequential, &body, &mut out);
             assert_eq!(seq.iters_per_proc, vec![n as u64]);
             assert_eq!(seq.barriers, 0);
             assert_eq!(seq.stalls, 0);
@@ -99,11 +104,16 @@ fn elided_barrier_count_is_bounded_by_the_minimal_plan() {
         let body = DagBody(plan.graph());
 
         let mut out_full = vec![0.0; n];
-        let full = plan.run(&pool, ExecPolicy::PreScheduled, &body, &mut out_full);
+        let full = plan.run(
+            Some(&pool),
+            ExecutorKind::PreScheduled,
+            &body,
+            &mut out_full,
+        );
         let mut out_elided = vec![0.0; n];
         let elided = plan.run(
-            &pool,
-            ExecPolicy::PreScheduledElided,
+            Some(&pool),
+            ExecutorKind::PreScheduledElided,
             &body,
             &mut out_elided,
         );
@@ -143,7 +153,12 @@ fn random_dags_respect_the_elision_bound() {
             let pool = WorkerPool::new(p);
             let body = DagBody(plan.graph());
             let mut out = vec![0.0; n];
-            let elided = plan.run(&pool, ExecPolicy::PreScheduledElided, &body, &mut out);
+            let elided = plan.run(
+                Some(&pool),
+                ExecutorKind::PreScheduledElided,
+                &body,
+                &mut out,
+            );
             assert!(elided.barriers <= plan.barrier_plan().count() as u64);
             check_report_shape(&elided, n, p, "random elided");
         }

@@ -1,11 +1,12 @@
-//! Executor-equivalence property tests: every parallel execution policy
-//! computes exactly what the sequential loop computes, on arbitrary forward
-//! dependence DAGs, under every scheduling strategy and processor count.
+//! Executor-equivalence property tests: every executor kind computes
+//! exactly what the sequential loop computes, on arbitrary forward
+//! dependence DAGs, under every sorting strategy and processor count.
 //!
-//! The sweep is the PR's central invariant: **random DAGs × all
-//! [`ExecPolicy`] variants × all [`Scheduling`] strategies × 1/2/4
-//! processors**, every combination checked bit-for-bit against the
-//! sequential reference through the single `PlannedLoop::run` entry point.
+//! The sweep is the central invariant: **random DAGs × all
+//! [`ExecutorKind`]s (`Sequential` an arm like the others) × all
+//! [`Sorting`] strategies × 1/2/4 processors**, every combination checked
+//! bit-for-bit against the library's reference loop through the single
+//! `PlannedLoop::run` entry point.
 //! DAG generation is deterministic in the seed (in-tree [`SmallRng`]), so
 //! any failure reproduces exactly.
 
@@ -64,19 +65,20 @@ fn sequential_reference(g: &DepGraph) -> Vec<f64> {
 fn run_checked(
     plan: &PlannedLoop,
     pool: &WorkerPool,
-    policy: ExecPolicy,
+    policy: ExecutorKind,
     body: &DagBody,
     out: &mut [f64],
 ) -> ExecReport {
     #[cfg(feature = "verify-trace")]
     {
-        let (report, events) = rtpl::executor::trace::capture(|| plan.run(pool, policy, body, out));
+        let (report, events) =
+            rtpl::executor::trace::capture(|| plan.run(Some(pool), policy, body, out));
         rtpl::verify::race::check_trace(pool.nworkers(), &events)
             .unwrap_or_else(|e| panic!("{policy:?} x{}: race oracle: {e}", pool.nworkers()));
         report
     }
     #[cfg(not(feature = "verify-trace"))]
-    plan.run(pool, policy, body, out)
+    plan.run(Some(pool), policy, body, out)
 }
 
 /// Runs `f` — under `verify-trace` inside a capture session: the trace log
@@ -99,12 +101,12 @@ fn every_policy_strategy_and_proc_count_matches_sequential() {
         let expect = sequential_reference(&g);
         for p in [1usize, 2, 4] {
             let pool = WorkerPool::new(p);
-            for strategy in Scheduling::ALL {
+            for strategy in Sorting::ALL {
                 let plan = DoConsider::inspect(g.clone())
                     .unwrap()
                     .schedule(strategy, p)
                     .unwrap();
-                for policy in ExecPolicy::ALL {
+                for policy in ExecutorKind::ALL {
                     let mut out = vec![0.0; g.n()];
                     let report =
                         run_checked(&plan, &pool, policy, &DagBody(plan.graph()), &mut out);
@@ -135,10 +137,10 @@ fn interleaved_policies_on_one_plan_stay_equivalent() {
         let pool = WorkerPool::new(2);
         let plan = DoConsider::inspect(g.clone())
             .unwrap()
-            .schedule(Scheduling::Global, 2)
+            .schedule(Sorting::Global, 2)
             .unwrap();
         for round in 0..3 {
-            for policy in ExecPolicy::ALL {
+            for policy in ExecutorKind::ALL {
                 let mut out = vec![0.0; g.n()];
                 run_checked(&plan, &pool, policy, &DagBody(plan.graph()), &mut out);
                 assert_eq!(out, expect, "round {round} {policy:?}");

@@ -8,7 +8,8 @@
 //! deadlines (idle and mid-frame stalls reclaim the reader), and the
 //! metrics surface that makes all of it observable.
 
-use rtpl::prelude::{LoopBody, ValueSource};
+use rtpl::inspector::DepGraph;
+use rtpl::prelude::{ExecutorKind, LoopBody, ValueSource};
 use rtpl::runtime::{Job, LoopSpec, NoBody, Runtime, RuntimeConfig, RuntimeError};
 use rtpl::server::proto::{err_code, Request, Response};
 use rtpl::server::{Client, Server, ServerConfig};
@@ -17,6 +18,7 @@ use rtpl::sparse::{ilu0, Csr};
 use rtpl::DoConsider;
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 fn test_cfg() -> RuntimeConfig {
@@ -127,6 +129,81 @@ fn panicking_job_fails_alone_and_runtime_survives() {
     let stats = rt.stats();
     assert_eq!(stats.body_panics, 1, "exactly one contained panic counted");
     assert_eq!(stats.circuit_open, 0, "one failure must not trip a breaker");
+}
+
+/// `x(i) = 1 + x(i-1) / 2`, spinning `spin` of wall time per iteration and
+/// counting its evaluations.
+struct SlowChain {
+    spin: Duration,
+    evals: AtomicUsize,
+}
+
+impl LoopBody for SlowChain {
+    fn eval<S: ValueSource>(&self, i: usize, src: &S) -> f64 {
+        self.evals.fetch_add(1, Ordering::Relaxed);
+        let t0 = Instant::now();
+        while t0.elapsed() < self.spin {
+            std::hint::spin_loop();
+        }
+        if i == 0 {
+            1.0
+        } else {
+            1.0 + src.get(i - 1) / 2.0
+        }
+    }
+}
+
+/// A sequential loop job is interrupted at the executor's cancellation
+/// points like every parallel one: its deadline passes mid-run, the job
+/// answers `DeadlineExceeded` long before its last iteration, and the same
+/// runtime then serves the pattern bit-exactly.
+#[test]
+fn sequential_loop_job_stops_at_its_deadline_mid_run() {
+    let n = 4096;
+    let chain: Vec<Vec<u32>> = (0..n as u32)
+        .map(|i| i.checked_sub(1).into_iter().collect())
+        .collect();
+    let spec = LoopSpec::new(DepGraph::from_lists(n, chain).unwrap());
+    let rt = Runtime::new(RuntimeConfig {
+        policy: Some(ExecutorKind::Sequential),
+        ..test_cfg()
+    });
+    let fast = || SlowChain {
+        spin: Duration::ZERO,
+        evals: AtomicUsize::new(0),
+    };
+    let mut expect = vec![0.0; n];
+    for i in 0..n {
+        expect[i] = if i == 0 {
+            1.0
+        } else {
+            1.0 + expect[i - 1] / 2.0
+        };
+    }
+    // Build the plan first, so the deadline is spent running, not inspecting.
+    let mut out = vec![0.0; n];
+    rt.submit(Job::looped(&spec, &fast(), &mut out)).unwrap();
+    assert_eq!(out, expect);
+
+    // ~50 µs an iteration: ~200 ms to finish, against a 5 ms deadline.
+    let slow = SlowChain {
+        spin: Duration::from_micros(50),
+        evals: AtomicUsize::new(0),
+    };
+    let job = Job::looped(&spec, &slow, &mut out)
+        .with_deadline(Instant::now() + Duration::from_millis(5));
+    assert_eq!(rt.submit(job).unwrap_err(), RuntimeError::DeadlineExceeded);
+    let evals = slow.evals.load(Ordering::Relaxed);
+    assert!(evals < n, "the run went on to iteration {evals} of {n}");
+    assert_eq!(rt.stats().deadline_expired, 1);
+
+    let mut again = vec![0.0; n];
+    let outcome = rt.submit(Job::looped(&spec, &fast(), &mut again)).unwrap();
+    assert_eq!(outcome.policy, ExecutorKind::Sequential);
+    assert_eq!(
+        again, expect,
+        "the pattern serves bit-exactly after the expiry"
+    );
 }
 
 /// A deadline that can only expire in the queue is answered typed —

@@ -36,7 +36,7 @@ impl LoopBody for Bomb<'_> {
 /// policy.
 #[test]
 fn panicking_body_fails_every_policy_without_hanging() {
-    for policy in ExecPolicy::ALL {
+    for policy in ExecutorKind::ALL {
         let plan = mesh_plan(8, 8, 2);
         let pool = WorkerPool::new(2);
         let mut out = vec![0.0; plan.n()];
@@ -45,7 +45,7 @@ fn panicking_body_fails_every_policy_without_hanging() {
             bomb: 20,
         };
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            plan.run(&pool, policy, &body, &mut out)
+            plan.run(Some(&pool), policy, &body, &mut out)
         }));
         assert!(r.is_err(), "{policy:?}: the panic must propagate");
     }
@@ -60,8 +60,8 @@ fn plan_recovers_after_panicking_run() {
     let mut out = vec![0.0; plan.n()];
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         plan.run(
-            &pool,
-            ExecPolicy::SelfExecuting,
+            Some(&pool),
+            ExecutorKind::SelfExecuting,
             &Bomb {
                 graph: plan.graph(),
                 bomb: 17,
@@ -76,8 +76,8 @@ fn plan_recovers_after_panicking_run() {
         bomb: usize::MAX,
     };
     let mut seq = vec![0.0; plan.n()];
-    plan.run_sequential(&healthy, &mut seq);
-    let report = plan.run(&pool, ExecPolicy::SelfExecuting, &healthy, &mut out);
+    plan.run(None, ExecutorKind::Sequential, &healthy, &mut seq);
+    let report = plan.run(Some(&pool), ExecutorKind::SelfExecuting, &healthy, &mut out);
     assert_eq!(out, seq);
     assert_eq!(report.total_iters() as usize, plan.n());
 }
@@ -169,8 +169,8 @@ fn zero_length_loops_are_fine_everywhere() {
     let plan = PlannedLoop::new(g, s).unwrap();
     let pool = WorkerPool::new(2);
     let mut out: Vec<f64> = vec![];
-    for policy in ExecPolicy::ALL {
-        let report = plan.run(&pool, policy, &Unreachable, &mut out);
+    for policy in ExecutorKind::ALL {
+        let report = plan.run(Some(&pool), policy, &Unreachable, &mut out);
         assert_eq!(report.total_iters(), 0, "{policy:?}");
     }
 }
@@ -197,7 +197,12 @@ fn non_finite_values_transport_correctly() {
     let plan = PlannedLoop::new(g, s).unwrap();
     let pool = WorkerPool::new(2);
     let mut out = vec![0.0; 3];
-    plan.run(&pool, ExecPolicy::SelfExecuting, &NonFinite, &mut out);
+    plan.run(
+        Some(&pool),
+        ExecutorKind::SelfExecuting,
+        &NonFinite,
+        &mut out,
+    );
     assert!(out[0].is_nan());
     assert_eq!(out[1], f64::INFINITY);
     assert_eq!(out[2], f64::INFINITY);

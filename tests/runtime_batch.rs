@@ -2,9 +2,8 @@
 //! batches through one `Runtime`, fingerprint grouping, per-job failure
 //! isolation, and DoConsider-spec caching.
 
-use rtpl::executor::{ExecPolicy, WorkerPool};
+use rtpl::executor::{ExecutorKind, WorkerPool};
 use rtpl::inspector::DepGraph;
-use rtpl::krylov::ExecutorKind;
 use rtpl::prelude::{LoopBody, ValueSource};
 use rtpl::runtime::{
     CacheStats, Job, JobOutcome, LoopSpec, NoBody, Runtime, RuntimeConfig, RuntimeError,
@@ -225,12 +224,12 @@ fn doconsider_loop_job_caches_and_matches_direct_planned_loop() {
     let graph = DepGraph::from_lower_triangular(&l).unwrap();
     let plan = DoConsider::from_lower_triangular(&l)
         .unwrap()
-        .schedule(rtpl::Scheduling::Global, 2)
+        .schedule(rtpl::Sorting::Global, 2)
         .unwrap();
     let body = LinearBody::new(&graph, vals, &b);
     let pool = WorkerPool::new(2);
     let mut direct = vec![0.0; n];
-    plan.run(&pool, ExecPolicy::SelfExecuting, &body, &mut direct);
+    plan.run(Some(&pool), ExecutorKind::SelfExecuting, &body, &mut direct);
 
     let rt = Runtime::new(test_cfg());
     let spec = DoConsider::from_lower_triangular(&l).unwrap().into_spec();

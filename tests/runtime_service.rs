@@ -2,7 +2,6 @@
 //! Zipf-distributed mix of patterns, one shared `Runtime`.
 
 use rtpl::krylov::{ExecutorKind, TriangularSolvePlan};
-use rtpl::runtime::selector::arm_index;
 use rtpl::runtime::{Job, NoBody, PolicySelector, Runtime, RuntimeConfig};
 use rtpl::sparse::ilu::IluFactors;
 use rtpl::sparse::Csr;
@@ -339,7 +338,7 @@ fn adaptive_selector_runs_only_feasible_arms_and_counts_every_run() {
     for run in 0..RUNS {
         let mut x = vec![0.0; n];
         let out = rt.submit(Job::<NoBody>::solve(&f, &b, &mut x)).unwrap();
-        let arm = arm_index(out.policy);
+        let arm = out.policy as usize;
         assert!(
             (pl[arm] + pu[arm]).is_finite(),
             "run {run} used {:?}, an arm the model priced infeasible",
