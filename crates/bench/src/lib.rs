@@ -1,78 +1,69 @@
-//! Shared harness for the table/figure regeneration binaries.
-//!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper;
-//! this library holds the common plumbing: building the lower-solve case
-//! for a test problem, the calibrated cost model, and plain-text table
-//! formatting.
+//! The paper's evidence regenerated ([`repro`], printed by the `repro`
+//! binary) plus the plumbing it shares with the micro-benches: the
+//! lower-solve case of a test problem, a median timer, and a plain-text
+//! table.
+
+pub mod repro;
 
 use rtpl::inspector::{DepGraph, Schedule, Wavefronts};
 use rtpl::sim::{self, CostModel};
-use rtpl::sparse::{ilu0, Csr};
+use rtpl::sparse::{ilu0, Csr, IluFactors};
 use rtpl::workload::{ProblemId, TestProblem};
+use std::fmt;
 use std::time::Instant;
 
-/// A prepared triangular-solve experiment: the ILU(0) lower factor of a
-/// test problem plus its dependence structure and flop weights.
+/// A prepared triangular-solve experiment: a matrix, its ILU(0) factors,
+/// and the dependence structure and flop weights of the forward sweep.
 pub struct SolveCase {
     /// Problem name as in the paper.
     pub name: String,
     /// Matrix order.
     pub n: usize,
-    /// Strictly lower factor (unit diagonal implicit).
-    pub l: Csr,
-    /// Upper factor including diagonal.
-    pub u: Csr,
+    /// The matrix itself.
+    pub matrix: Csr,
+    /// Strictly lower `l` (unit diagonal implicit) and upper `u` factors.
+    pub factors: IluFactors,
     /// Dependences of the forward sweep.
     pub graph: DepGraph,
     /// Wavefront decomposition.
     pub wf: Wavefronts,
     /// Flop weight per row of the forward sweep (nnz + 1).
     pub weights: Vec<f64>,
-    /// Nonzeros of the original matrix (for matvec cost).
-    pub matrix_nnz: usize,
 }
 
 impl SolveCase {
     /// Builds the case for one Appendix-I problem.
     pub fn build(id: ProblemId) -> SolveCase {
-        let p = TestProblem::build(id);
-        let a = &p.matrix;
-        let f = ilu0(a).expect("ILU(0) factorization");
-        let l = f.l;
-        let u = f.u;
-        let graph = DepGraph::from_lower_triangular(&l).expect("dep graph");
-        let wf = Wavefronts::compute(&graph).expect("wavefronts");
-        let n = l.nrows();
-        let weights = (0..n).map(|i| 1.0 + l.row_nnz(i) as f64).collect();
-        SolveCase {
-            name: p.name.to_string(),
-            n,
-            l,
-            u,
-            graph,
-            wf,
-            weights,
-            matrix_nnz: a.nnz(),
-        }
+        let matrix = TestProblem::build(id).matrix;
+        let factors = ilu0(&matrix).expect("ILU(0) factorization");
+        SolveCase::new(id.name().to_string(), matrix, factors)
     }
 
     /// Builds the case for a matrix that *is already* unit lower triangular
     /// (synthetic dependency matrices): no factorization needed.
     pub fn from_lower(name: String, lower: &Csr) -> SolveCase {
-        let l = lower.strict_lower();
-        let graph = DepGraph::from_lower_triangular(&l).expect("dep graph");
+        let n = lower.nrows();
+        let factors = IluFactors {
+            l: lower.strict_lower(),
+            u: Csr::identity(n),
+        };
+        SolveCase::new(name, lower.clone(), factors)
+    }
+
+    fn new(name: String, matrix: Csr, factors: IluFactors) -> SolveCase {
+        let l = &factors.l;
+        let graph = DepGraph::from_lower_triangular(l).expect("dep graph");
         let wf = Wavefronts::compute(&graph).expect("wavefronts");
         let n = l.nrows();
         let weights = (0..n).map(|i| 1.0 + l.row_nnz(i) as f64).collect();
         SolveCase {
             name,
             n,
-            l: l.clone(),
-            u: Csr::identity(n),
+            matrix,
+            factors,
             graph,
             wf,
             weights,
-            matrix_nnz: lower.nnz(),
         }
     }
 
@@ -84,16 +75,6 @@ impl SolveCase {
     /// Sequential forward-solve time under `cost`.
     pub fn seq_time(&self, cost: &CostModel) -> f64 {
         sim::sim_sequential(self.n, Some(&self.weights), cost)
-    }
-}
-
-/// The default cost model used by all tables (Multimax-like ratios). A
-/// calibrated nanosecond model can be substituted with `--calibrate`.
-pub fn table_cost_model(calibrate: bool) -> CostModel {
-    if calibrate {
-        rtpl::sim::calibrate::calibrate_host(rtpl::sim::calibrate::default_tsynch_ns(16))
-    } else {
-        CostModel::multimax()
     }
 }
 
@@ -122,7 +103,8 @@ pub fn bench_case(name: &str, warmup: usize, reps: usize, mut f: impl FnMut()) -
     med
 }
 
-/// Simple fixed-width table printer.
+/// Simple fixed-width table, rendered by its `Display` impl (cells
+/// right-aligned, no trailing blanks).
 pub struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -142,9 +124,10 @@ impl Table {
         assert_eq!(cells.len(), self.headers.len());
         self.rows.push(cells);
     }
+}
 
-    /// Renders to stdout.
-    pub fn print(&self) {
+impl fmt::Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ncols = self.headers.len();
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -160,14 +143,15 @@ impl Table {
                     s.push('|');
                 }
             }
-            s
+            s.trim_end().to_string()
         };
-        println!("{}", line(&self.headers));
+        writeln!(f, "{}", line(&self.headers))?;
         let total: usize = widths.iter().map(|w| w + 2).sum::<usize>() + ncols - 1;
-        println!("{}", "-".repeat(total));
+        writeln!(f, "{}", "-".repeat(total))?;
         for row in &self.rows {
-            println!("{}", line(row));
+            writeln!(f, "{}", line(row))?;
         }
+        Ok(())
     }
 }
 
@@ -192,6 +176,6 @@ mod tests {
     fn table_prints_without_panicking() {
         let mut t = Table::new(&["a", "bb"]);
         t.row(vec!["1".into(), "2".into()]);
-        t.print();
+        assert_eq!(t.to_string(), " a | bb\n--------\n 1 |  2\n");
     }
 }

@@ -26,7 +26,7 @@ where
     F: for<'s> Fn(usize, &WaitingSource<'s>) -> f64 + Sync,
 {
     assert_eq!(out.len(), n);
-    protocol::one_shot(pool, None, body, out, |run, kernel| run.stripe_walk(kernel))
+    protocol::one_shot(pool, body, out, |run, kernel| run.stripe_walk(kernel))
 }
 
 #[cfg(test)]

@@ -26,9 +26,10 @@
 //! busy-waiting [`shared::WaitingSource`], the barrier-synchronized
 //! [`shared::PublishedSource`], or the sequential [`DirectSource`]) — there
 //! is no `dyn Fn` or `dyn ValueSource` call anywhere on an executor hot
-//! path. The per-discipline free functions ([`pre_scheduled`],
-//! [`self_executing`], [`doacross()`], [`self_scheduling`], …) remain
-//! available and are equally generic.
+//! path. Two disciplines that run without an inspector's schedule are free
+//! functions over closure bodies, equally generic: [`doacross()`] (the
+//! natural-order baseline `dodynamic` runs) and [`self_scheduling`]
+//! (dynamic chunk claiming, the related-work alternative).
 //!
 //! ## One protocol: envelope, walks, kernels
 //!
@@ -88,11 +89,11 @@ pub mod doacross;
 pub mod doall;
 pub mod planned;
 pub mod pool;
-pub mod presched;
+#[cfg(test)]
+mod presched;
 mod protocol;
 pub mod report;
 pub mod rows;
-pub mod selfexec;
 pub mod selfsched;
 pub mod shared;
 pub mod trace;
@@ -104,10 +105,8 @@ pub use doacross::doacross;
 pub use doall::{doall, doall_blocked, doall_reduce};
 pub use planned::{ExecutorKind, LoopScratch, PlannedLoop};
 pub use pool::{PoolError, WorkerPool};
-pub use presched::{pre_scheduled, pre_scheduled_elided};
 pub use report::ExecReport;
 pub use rows::SharedRows;
-pub use selfexec::self_executing;
 pub use selfsched::{self_scheduling, Chunking};
 pub use shared::{PublishedSource, SharedVec, WaitingSource};
 
@@ -135,11 +134,11 @@ pub trait ValueSource {
 /// barrier-synchronized, and the direct source — static dispatch on every
 /// hot path, one source of truth for the numerics.
 ///
-/// Plain closures cannot be generic over the source type; when a body is
-/// only used with a single discipline, pass a closure to the matching free
-/// function ([`self_executing`], [`pre_scheduled`], …) instead. Implement
-/// `LoopBody` when the same body must run under several kinds through
-/// [`PlannedLoop::run`]:
+/// Plain closures cannot be generic over the source type, so a body that
+/// runs through [`PlannedLoop::run`] — under any [`ExecutorKind`] —
+/// implements `LoopBody`; the schedule-free free functions
+/// ([`doacross()`], [`self_scheduling`]) take a closure over their one
+/// concrete source instead:
 ///
 /// ```
 /// use rtpl_executor::{LoopBody, ValueSource};

@@ -1,89 +1,36 @@
-//! The pre-scheduled executor (Figure 5).
+//! Tests of pre-scheduled execution (the paper's Figure 5) as
+//! [`PlannedLoop`] runs it: [`ExecutorKind::PreScheduled`] keeps a barrier
+//! at every interior phase boundary, [`ExecutorKind::PreScheduledElided`]
+//! only the boundaries of the plan's minimal [`BarrierPlan`]. The walk
+//! itself lives in the crate's one protocol.
 //!
-//! ```text
-//! do i = 1, nlocal
-//!     isched = schedule(i)
-//!     if (isched .eq. NEWPHASE) then
-//!         call global synchronization
-//!     else
-//!         x(isched) = <body>
-//!     endif
-//! end do
-//! ```
-//!
-//! Work is divided into phases (one per wavefront); a **global barrier**
-//! separates consecutive phases, so a value produced in phase `w` may be
-//! read without any per-value check in phases `> w`. Cheap per element, but
-//! the whole machine waits for the slowest processor of every phase — the
-//! end-effect load imbalance analyzed in §4. The elided variant keeps only
-//! the barriers a [`BarrierPlan`] proves necessary. Both are
-//! `protocol::phase_walk` — the phase walk of the crate's one
-//! synchronization protocol — under a full or a minimal plan.
-
-use crate::pool::WorkerPool;
-use crate::protocol;
-use crate::report::ExecReport;
-use crate::shared::PublishedSource;
-use rtpl_inspector::{BarrierPlan, Schedule};
-
-/// Runs `body` over all indices of `schedule` with one global barrier
-/// between consecutive phases; results are written to `out`.
-///
-/// `body(i, src)` reads dependence values through the concrete
-/// [`PublishedSource`] (statically dispatched); because of the barriers
-/// those reads never wait (and in debug builds, reading a value that was
-/// not produced in an earlier phase panics — catching schedule bugs).
-pub fn pre_scheduled<F>(
-    pool: &WorkerPool,
-    schedule: &Schedule,
-    body: &F,
-    out: &mut [f64],
-) -> ExecReport
-where
-    F: for<'s> Fn(usize, &PublishedSource<'s>) -> f64 + Sync,
-{
-    pre_scheduled_elided(
-        pool,
-        schedule,
-        &BarrierPlan::full(schedule.num_phases()),
-        body,
-        out,
-    )
-}
-
-/// Pre-scheduled execution with **barrier elision**: only the barriers the
-/// [`BarrierPlan`] marks as kept are performed. The plan must have been
-/// computed (or validated) against this schedule and the loop's dependence
-/// graph — an under-covering plan is unsound; in debug builds a read of a
-/// genuinely unpublished value panics.
-pub fn pre_scheduled_elided<F>(
-    pool: &WorkerPool,
-    schedule: &Schedule,
-    plan: &BarrierPlan,
-    body: &F,
-    out: &mut [f64],
-) -> ExecReport
-where
-    F: for<'s> Fn(usize, &PublishedSource<'s>) -> f64 + Sync,
-{
-    protocol::one_shot(pool, Some(schedule), body, out, |run, kernel| {
-        run.phase_walk(kernel, plan)
-    })
-}
+//! [`PlannedLoop`]: crate::PlannedLoop
+//! [`ExecutorKind::PreScheduled`]: crate::ExecutorKind::PreScheduled
+//! [`ExecutorKind::PreScheduledElided`]: crate::ExecutorKind::PreScheduledElided
+//! [`BarrierPlan`]: rtpl_inspector::BarrierPlan
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::shared::WaitingSource;
-    use crate::ValueSource;
+    use crate::{ExecutorKind, LoopBody, PlannedLoop, ValueSource, WorkerPool};
     use rtpl_inspector::{DepGraph, Partition, Schedule, Wavefronts};
-    use rtpl_sparse::gen::{laplacian_5pt, random_lower};
+    use rtpl_sparse::gen::laplacian_5pt;
     use rtpl_sparse::triangular::{row_substitution_lower, solve_lower, Diag};
+    use rtpl_sparse::Csr;
+
+    struct Solve<'a> {
+        l: &'a Csr,
+        b: &'a [f64],
+    }
+
+    impl LoopBody for Solve<'_> {
+        fn eval<S: ValueSource>(&self, i: usize, src: &S) -> f64 {
+            row_substitution_lower(self.l, self.b, i, |j| src.get(j))
+        }
+    }
 
     #[test]
     fn matches_sequential_on_mesh() {
-        let a = laplacian_5pt(6, 9);
-        let l = a.strict_lower();
+        let l = laplacian_5pt(6, 9).strict_lower();
         let n = l.nrows();
         let b: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
         let mut expect = vec![0.0; n];
@@ -91,103 +38,84 @@ mod tests {
 
         let g = DepGraph::from_lower_triangular(&l).unwrap();
         let wf = Wavefronts::compute(&g).unwrap();
+        let body = Solve { l: &l, b: &b };
         for nprocs in [1, 2, 4] {
             let pool = WorkerPool::new(nprocs);
             for schedule in [
                 Schedule::global(&wf, nprocs).unwrap(),
                 Schedule::local(&wf, &Partition::striped(n, nprocs).unwrap()).unwrap(),
+                Schedule::local(&wf, &Partition::contiguous(n, nprocs).unwrap()).unwrap(),
             ] {
-                let mut out = vec![0.0; n];
-                let report = pre_scheduled(
-                    &pool,
-                    &schedule,
-                    &|i, src| row_substitution_lower(&l, &b, i, |j| src.get(j)),
-                    &mut out,
-                );
-                assert_eq!(out, expect);
-                assert_eq!(report.barriers as usize, schedule.num_phases() - 1);
-                assert_eq!(report.stalls, 0);
-                assert_eq!(report.total_iters() as usize, n);
+                let plan = PlannedLoop::new(g.clone(), schedule).unwrap();
+                // Each kind pays exactly the barriers its plan keeps.
+                for (kind, kept) in [
+                    (ExecutorKind::PreScheduled, plan.num_phases() - 1),
+                    (
+                        ExecutorKind::PreScheduledElided,
+                        plan.barrier_plan().count(),
+                    ),
+                ] {
+                    let mut out = vec![0.0; n];
+                    let report = plan.run(Some(&pool), kind, &body, &mut out);
+                    assert_eq!(out, expect, "{kind:?}, p={nprocs}");
+                    assert_eq!(report.barriers as usize, kept, "{kind:?}, p={nprocs}");
+                    assert_eq!(report.stalls, 0, "{kind:?}, p={nprocs}");
+                    assert_eq!(report.total_iters() as usize, n, "{kind:?}, p={nprocs}");
+                }
             }
         }
     }
 
     #[test]
-    fn matches_self_executing_on_random_dag() {
-        let l = random_lower(90, 4, 5).strict_lower();
-        let n = l.nrows();
-        let b: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let g = DepGraph::from_lower_triangular(&l).unwrap();
-        let wf = Wavefronts::compute(&g).unwrap();
-        let pool = WorkerPool::new(3);
-        let schedule = Schedule::global(&wf, 3).unwrap();
-        let mut out_pre = vec![0.0; n];
-        pre_scheduled(
-            &pool,
-            &schedule,
-            &|i, src: &PublishedSource<'_>| row_substitution_lower(&l, &b, i, |j| src.get(j)),
-            &mut out_pre,
-        );
-        let mut out_self = vec![0.0; n];
-        crate::self_executing(
-            &pool,
-            &schedule,
-            &|i, src: &WaitingSource<'_>| row_substitution_lower(&l, &b, i, |j| src.get(j)),
-            &mut out_self,
-        );
-        assert_eq!(out_pre, out_self);
-    }
-
-    #[test]
     fn elided_execution_matches_full_execution() {
-        let a = laplacian_5pt(8, 7);
-        let l = a.strict_lower();
+        let l = laplacian_5pt(8, 7).strict_lower();
         let n = l.nrows();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).sin() + 2.0).collect();
         let g = DepGraph::from_lower_triangular(&l).unwrap();
         let wf = Wavefronts::compute(&g).unwrap();
+        let body = Solve { l: &l, b: &b };
         for nprocs in [1usize, 2, 3] {
             let pool = WorkerPool::new(nprocs);
             // Contiguous local schedules give real elision opportunities.
             let s = Schedule::local(&wf, &Partition::contiguous(n, nprocs).unwrap()).unwrap();
-            let plan = BarrierPlan::minimal(&s, &g).unwrap();
-            plan.validate(&s, &g).unwrap();
+            let plan = PlannedLoop::new(g.clone(), s).unwrap();
+            plan.barrier_plan()
+                .validate(plan.schedule(), plan.graph())
+                .unwrap();
             let mut full = vec![0.0; n];
-            pre_scheduled(
-                &pool,
-                &s,
-                &|i, src| row_substitution_lower(&l, &b, i, |j| src.get(j)),
-                &mut full,
-            );
+            plan.run(Some(&pool), ExecutorKind::PreScheduled, &body, &mut full);
             let mut elided = vec![0.0; n];
-            let report = pre_scheduled_elided(
-                &pool,
-                &s,
-                &plan,
-                &|i, src| row_substitution_lower(&l, &b, i, |j| src.get(j)),
+            let report = plan.run(
+                Some(&pool),
+                ExecutorKind::PreScheduledElided,
+                &body,
                 &mut elided,
             );
             assert_eq!(full, elided, "nprocs={nprocs}");
-            assert_eq!(report.barriers, plan.count() as u64);
-            assert!(report.barriers <= (s.num_phases() - 1) as u64);
+            assert_eq!(report.barriers, plan.barrier_plan().count() as u64);
+            assert!(report.barriers <= (plan.num_phases() - 1) as u64);
+            assert_eq!(report.stalls, 0);
         }
     }
 
     #[test]
     fn single_phase_runs_without_barriers() {
         // Fully independent loop: one wavefront, zero interior barriers.
+        struct Index;
+        impl LoopBody for Index {
+            fn eval<S: ValueSource>(&self, i: usize, _src: &S) -> f64 {
+                i as f64
+            }
+        }
         let g = DepGraph::from_lists(8, vec![vec![]; 8]).unwrap();
         let wf = Wavefronts::compute(&g).unwrap();
+        let plan = PlannedLoop::new(g, Schedule::global(&wf, 2).unwrap()).unwrap();
         let pool = WorkerPool::new(2);
-        let schedule = Schedule::global(&wf, 2).unwrap();
-        let mut out = vec![0.0; 8];
-        let report = pre_scheduled(
-            &pool,
-            &schedule,
-            &|i, _: &PublishedSource<'_>| i as f64,
-            &mut out,
-        );
-        assert_eq!(report.barriers, 0);
-        assert_eq!(out, (0..8).map(|i| i as f64).collect::<Vec<_>>());
+        for kind in [ExecutorKind::PreScheduled, ExecutorKind::PreScheduledElided] {
+            let mut out = vec![0.0; 8];
+            let report = plan.run(Some(&pool), kind, &Index, &mut out);
+            assert_eq!(report.barriers, 0, "{kind:?}");
+            assert_eq!(out, (0..8).map(|i| i as f64).collect::<Vec<_>>());
+        }
     }
 }

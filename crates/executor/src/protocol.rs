@@ -388,25 +388,23 @@ fn claim(cursor: &AtomicUsize, by: Chunking, n: usize, nprocs: usize) -> Option<
     (lo < n).then(|| lo..(lo + len).min(n))
 }
 
-/// The free functions' one-shot run: a scratch and a body kernel for this
-/// call (`lists` as in [`BodyKernel`]), `walk` over them, a panic carrying
+/// The schedule-free free functions' one-shot run: a scratch and a body
+/// kernel without lists for this call, `walk` over them, a panic carrying
 /// the typed message on failure, and the copy-out.
 pub(crate) fn one_shot<F>(
     pool: &WorkerPool,
-    lists: Option<&Schedule>,
     body: &F,
     out: &mut [f64],
     walk: impl FnOnce(Run<'_>, &BodyKernel<'_, F>) -> Outcome,
 ) -> ExecReport {
-    let (n, nprocs) = lists.map_or((out.len(), pool.nworkers()), |s| (s.n(), s.nprocs()));
-    assert_eq!(out.len(), n);
-    let mut scratch = LoopScratch::new(n, nprocs);
+    let mut scratch = LoopScratch::new(out.len(), pool.nworkers());
     let run = Run {
         pool: Some(pool),
         scratch: &mut scratch,
         cancel: None,
     };
-    let report = walk(run, &BodyKernel { lists, body }).unwrap_or_else(|e| panic!("{e}"));
+    let kernel = BodyKernel { lists: None, body };
+    let report = walk(run, &kernel).unwrap_or_else(|e| panic!("{e}"));
     scratch.shared.copy_into(out);
     report
 }

@@ -56,7 +56,7 @@ where
         assert!(k >= 1, "fixed chunk size must be >= 1");
     }
     assert_eq!(out.len(), order.len());
-    protocol::one_shot(pool, None, body, out, |run, kernel| {
+    protocol::one_shot(pool, body, out, |run, kernel| {
         run.claim_walk(kernel, order, chunking)
     })
 }

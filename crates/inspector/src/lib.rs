@@ -33,14 +33,12 @@ pub mod dep;
 pub mod elision;
 pub mod partition;
 pub mod schedule;
-pub mod stats;
 pub mod wavefront;
 
 pub use dep::DepGraph;
 pub use elision::BarrierPlan;
 pub use partition::Partition;
 pub use schedule::{CoalesceStats, Schedule, Sorting};
-pub use stats::ScheduleStats;
 pub use wavefront::Wavefronts;
 
 /// Errors produced by inspection and scheduling.

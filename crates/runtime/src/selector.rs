@@ -269,11 +269,6 @@ impl AdaptiveState {
         self.count
     }
 
-    /// The model prior this state was built from, indexed by tag.
-    pub fn prior(&self) -> [f64; 5] {
-        self.prior
-    }
-
     /// The measured learning — per-arm EWMA estimates and observation
     /// counts — as plain arrays, for persistence. The prior is *not* part
     /// of the snapshot: it is a function of the plan and the host, and a

@@ -50,33 +50,6 @@ pub fn sim_sequential(n: usize, weights: Option<&[f64]>, cost: &CostModel) -> f6
     (0..n).map(|i| cost.tp * weight(weights, i)).sum()
 }
 
-/// Lower bounds no schedule or synchronization discipline can beat:
-/// `(critical_path, work_over_p)` — the weighted longest dependence chain,
-/// and total work divided by the processor count. Every simulated (and
-/// real) parallel time is at least `max` of the two; the gap to that bound
-/// is what scheduling quality is about.
-pub fn lower_bounds(
-    deps: &DepGraph,
-    nprocs: usize,
-    weights: Option<&[f64]>,
-    cost: &CostModel,
-) -> (f64, f64) {
-    assert!(deps.is_forward(), "bounds need a forward graph");
-    let n = deps.n();
-    let mut cp = vec![0.0f64; n];
-    let mut longest = 0.0f64;
-    for i in 0..n {
-        let mut start = 0.0f64;
-        for &d in deps.deps(i) {
-            start = start.max(cp[d as usize]);
-        }
-        cp[i] = start + cost.tp * weight(weights, i);
-        longest = longest.max(cp[i]);
-    }
-    let work = sim_sequential(n, weights, cost);
-    (longest, work / nprocs as f64)
-}
-
 /// Pre-scheduled execution: `Σ_w max_p(phase work) + Tsynch · (phases − 1)`.
 pub fn sim_pre_scheduled(
     schedule: &Schedule,
@@ -254,26 +227,6 @@ pub fn sim_doacross(
     SimOutcome { time, nprocs, busy }
 }
 
-/// The paper's *symbolically estimated efficiency* for a pre-scheduled
-/// execution: load balance of the flop distribution only.
-pub fn symbolic_efficiency_presched(schedule: &Schedule, weights: Option<&[f64]>) -> f64 {
-    let cost = CostModel::zero_overhead();
-    let seq = sim_sequential(schedule.n(), weights, &cost);
-    sim_pre_scheduled(schedule, weights, &cost).efficiency(seq)
-}
-
-/// The paper's *symbolically estimated efficiency* for a self-executing
-/// execution.
-pub fn symbolic_efficiency_selfexec(
-    schedule: &Schedule,
-    deps: &DepGraph,
-    weights: Option<&[f64]>,
-) -> f64 {
-    let cost = CostModel::zero_overhead();
-    let seq = sim_sequential(schedule.n(), weights, &cost);
-    sim_self_executing(schedule, deps, weights, &cost).efficiency(seq)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,6 +239,33 @@ mod tests {
         let wf = Wavefronts::compute(&g).unwrap();
         let s = Schedule::global(&wf, p).unwrap();
         (g, s)
+    }
+
+    /// Lower bounds no schedule or synchronization discipline can beat:
+    /// `(critical_path, work_over_p)` — the weighted longest dependence chain,
+    /// and total work divided by the processor count. Every simulated (and
+    /// real) parallel time is at least `max` of the two; the gap to that bound
+    /// is what scheduling quality is about.
+    fn lower_bounds(
+        deps: &DepGraph,
+        nprocs: usize,
+        weights: Option<&[f64]>,
+        cost: &CostModel,
+    ) -> (f64, f64) {
+        assert!(deps.is_forward(), "bounds need a forward graph");
+        let n = deps.n();
+        let mut cp = vec![0.0f64; n];
+        let mut longest = 0.0f64;
+        for i in 0..n {
+            let mut start = 0.0f64;
+            for &d in deps.deps(i) {
+                start = start.max(cp[d as usize]);
+            }
+            cp[i] = start + cost.tp * weight(weights, i);
+            longest = longest.max(cp[i]);
+        }
+        let work = sim_sequential(n, weights, cost);
+        (longest, work / nprocs as f64)
     }
 
     #[test]

@@ -33,6 +33,6 @@ pub mod model;
 
 pub use cost::CostModel;
 pub use event::{
-    lower_bounds, sim_doacross, sim_pre_scheduled, sim_pre_scheduled_elided, sim_self_executing,
+    sim_doacross, sim_pre_scheduled, sim_pre_scheduled_elided, sim_self_executing,
     sim_self_executing_fine, sim_sequential, SimOutcome,
 };

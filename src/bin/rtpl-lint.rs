@@ -24,9 +24,13 @@
 //!    `pub enum` or `pub trait` name is defined in one product file only.
 //! 6. **One choice, one enum** (`duplicate-enum-variants`) — no two
 //!    `pub enum`s carry the same set of variant names.
+//! 7. **No environment knobs** (`env-knob`) — `std::env::var`/`var_os`
+//!    only in the files on the in-lint allowlist (fault injection's
+//!    `RTPL_FAILPOINTS`); behaviour is configured through typed config,
+//!    not the process environment.
 //!
-//! Rules 5 and 6 look across files and skip `crates/bench/src/bin/benchmark/`,
-//! a package of its own.
+//! Rules 5 and 6 look across files; rules 5–7 skip
+//! `crates/bench/src/bin/benchmark/`, a package of its own.
 //!
 //! Exit status 0 when clean; 1 with one `path:line: rule: message` per
 //! finding otherwise. Run from anywhere: the workspace root is baked in
@@ -55,6 +59,12 @@ const ORDERING_ALLOWLIST: &[&str] = &[
     "crates/sparse/src/failpoint.rs",
     "crates/store/src/lib.rs",
 ];
+
+/// The only files that may read the process environment (rule 7).
+const ENV_ALLOWLIST: &[&str] = &["crates/sparse/src/failpoint.rs"];
+
+/// The stand-alone benchmark package, outside rules 5–7.
+const BENCHMARK_PACKAGE: &str = "crates/bench/src/bin/benchmark/";
 
 /// Crates whose non-test code must not carry panic debt (rule 2).
 const NO_PANIC_ROOTS: &[&str] = &[
@@ -209,6 +219,17 @@ fn lint_file(rel: &Path, src: &str, findings: &mut Vec<String>) {
         }
     }
 
+    // Rule 7: no environment knobs outside the allowlist.
+    if !ENV_ALLOWLIST.contains(&rel_str.as_str()) && !rel_str.starts_with(BENCHMARK_PACKAGE) {
+        for off in find_all(&masked, "env::var") {
+            let line = line_of(off);
+            findings.push(format!(
+                "{rel_str}:{line}: env-knob: reading the process environment — \
+                 configure through a typed config field instead"
+            ));
+        }
+    }
+
     // Rule 2: no panic debt in the service path.
     if NO_PANIC_ROOTS.iter().any(|r| rel_str.starts_with(r)) {
         for off in find_all(&masked, ".unwrap()") {
@@ -253,7 +274,7 @@ struct PubType<'a> {
 fn vocabulary(sources: &[(String, String)]) -> Vec<String> {
     let types: Vec<PubType> = sources
         .iter()
-        .filter(|(rel, _)| !rel.starts_with("crates/bench/src/bin/benchmark/"))
+        .filter(|(rel, _)| !rel.starts_with(BENCHMARK_PACKAGE))
         .flat_map(|(rel, src)| pub_types(rel, &mask_tests(&mask_lexical(src))))
         .collect();
     let mut findings = Vec::new();
@@ -618,6 +639,32 @@ mod tests {
             &mut findings,
         );
         assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    #[test]
+    fn environment_knobs_are_refused_outside_the_allowlist() {
+        let lint = |rel: &str, src: &str| {
+            let mut findings = Vec::new();
+            lint_file(Path::new(rel), src, &mut findings);
+            findings
+        };
+        let knob = "fn main() {\n    let on = std::env::var_os(\"RTPL_CALIBRATE\").is_some();\n}\n";
+        let findings = lint("crates/bench/src/bin/table2.rs", knob);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(
+            findings[0].starts_with("crates/bench/src/bin/table2.rs:2: env-knob"),
+            "{findings:?}"
+        );
+        let imported = "use std::env;\nfn f() -> String { env::var(\"X\").unwrap_or_default() }\n";
+        assert_eq!(lint("crates/runtime/src/x.rs", imported).len(), 1);
+        // The allowlisted fault-injection switch, the benchmark package,
+        // prose, string literals and test code are all fine.
+        let failpoints = "fn f() { let _ = std::env::var(\"RTPL_FAILPOINTS\"); }\n";
+        assert!(lint("crates/sparse/src/failpoint.rs", failpoints).is_empty());
+        assert!(lint("crates/bench/src/bin/benchmark/src/main.rs", knob).is_empty());
+        let quiet = "// std::env::var is banned\nconst S: &str = \"env::var\";\n\
+                     #[cfg(test)]\nmod tests { fn f() { std::env::var(\"SEED\").ok(); } }\n";
+        assert!(lint("crates/executor/src/x.rs", quiet).is_empty());
     }
 
     fn sources(files: &[(&str, &str)]) -> Vec<(String, String)> {

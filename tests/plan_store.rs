@@ -402,9 +402,6 @@ fn verifier_refuses_a_store_artifact_with_dropped_barriers() {
     let artifact = r.u8s_ref().expect("artifact bytes");
     let payload_rest = {
         let mut w = WireWriter::new();
-        w.put_f64s(&r.f64s().expect("cost"));
-        w.put_u64(r.u64().expect("host"));
-        w.put_f64s(&r.f64s().expect("prior"));
         w.put_f64s(&r.f64s().expect("measured"));
         w.put_u64s(&r.u64s().expect("count"));
         w.into_bytes()
