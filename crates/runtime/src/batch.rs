@@ -50,8 +50,24 @@ use rtpl_sparse::ilu::IluFactors;
 use rtpl_sparse::PatternFingerprint;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
+
+/// Below this much [`Job::sized_work`] a warm batch runs on the
+/// submitting thread alone. Starting and joining a helper thread takes
+/// 20–25 µs on a 2-vCPU KVM guest; a warm sweep runs at ~3.7 ns per
+/// entry, so a helper taking over half of 16 Ki entries (~30 µs of
+/// sweeping) about pays for itself.
+const HELPER_MIN_WORK: usize = 16 * 1024;
+
+/// The host's hardware threads, read once per process. The query reads
+/// the affinity mask and cgroup quota files — 14–19 µs per call on a
+/// 2-vCPU KVM guest, more than a warm solve of a small pattern — so a
+/// served batch of one must not pay it every time.
+fn host_threads() -> usize {
+    static HOST_THREADS: OnceLock<usize> = OnceLock::new();
+    *HOST_THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
 
 /// A cacheable inspection product: a dependence structure plus its stable
 /// structural key. This is what `DoConsider` emits for the runtime front
@@ -259,6 +275,17 @@ enum JobClass {
 }
 
 impl<B: LoopBody> Job<'_, B> {
+    /// Entries one warm run of this job sweeps: factor nonzeros, or a
+    /// linear loop's iterations plus dependence edges. `None` for a loop
+    /// body, whose cost the runtime cannot size.
+    fn sized_work(&self) -> Option<usize> {
+        match &self.kind {
+            JobKind::Solve { factors, .. } => Some(factors.nnz()),
+            JobKind::LinearLoop { spec, .. } => Some(spec.graph.n() + spec.graph.num_edges()),
+            JobKind::Loop { .. } => None,
+        }
+    }
+
     /// The cache namespace and structural key this job is served under.
     /// Loop specs carry their key; a solve's is an O(nnz) hash of its
     /// factors, so the caller says how to obtain it (a batch memoizes it
@@ -308,7 +335,8 @@ impl Runtime {
     /// decision; groups over never-seen patterns are dispatched first so
     /// their inspections pipeline with warm executions when the host has
     /// several hardware threads (one batch worker per thread, each leasing
-    /// its own pool and scratches). Outcomes come back in submission
+    /// its own pool and scratches; a small all-warm batch runs on the
+    /// submitting thread alone). Outcomes come back in submission
     /// order; per-job failures are per-job `Err`s, never a batch abort.
     pub fn submit_batch<B: LoopBody>(&self, jobs: Vec<Job<'_, B>>) -> BatchOutcome {
         let t0 = Instant::now();
@@ -360,9 +388,19 @@ impl Runtime {
 
         // One worker per hardware thread. On a single-core host the batch
         // still wins by amortizing leases, selector traffic and gathers.
-        let workers = std::thread::available_parallelism()
-            .map_or(1, |p| p.get())
-            .min(ngroups);
+        // A small all-warm batch stays on the submitting thread: starting a
+        // helper costs more than the sweeps it would take over.
+        let small = cold_groups == 0
+            && groups
+                .iter()
+                .flat_map(|g| &g.jobs)
+                .try_fold(0usize, |sum, (_, job)| Some(sum + job.sized_work()?))
+                .is_some_and(|work| work < HELPER_MIN_WORK);
+        let workers = if small {
+            1
+        } else {
+            host_threads().min(ngroups)
+        };
 
         let queue = Mutex::new(VecDeque::from(groups));
         // Outcomes land straight in their submission-order slot.

@@ -81,8 +81,11 @@
 //!   jobs sharing a fingerprint share one plan, one pool lease, one
 //!   selector decision, and (when they also share a factor object) one
 //!   value gather; cold inspections are queued ahead so they pipeline
-//!   with warm executions on other batch workers. [`BatchOutcome`] reports
-//!   per-job outcomes plus batch wall time.
+//!   with warm executions on other batch workers. A small all-warm batch
+//!   (a few tiny solves, as a server sees them) runs on the calling
+//!   thread alone, since a helper thread costs more to start than it
+//!   would save. [`BatchOutcome`] reports per-job outcomes plus batch
+//!   wall time.
 //!
 //! Both run the same group runners, so deadlines, panic containment, the
 //! per-pattern circuit breaker and every counter behave identically

@@ -4,8 +4,8 @@
 //! executions. `rtpl-runtime` realizes that inside a process — a plan
 //! cache in front of the inspector, batched submission in front of the
 //! executors. This crate adds the missing boundary: a network edge, so the
-//! *same* cached plans and the *same* gather-window batching amortize
-//! across clients and connections, not just across call sites.
+//! *same* cached plans and the *same* batching amortize across clients
+//! and connections, not just across call sites.
 //!
 //! Everything is `std`-only and hand-rolled: a length-prefixed, versioned
 //! binary protocol over `std::net::TcpListener`, log-bucketed latency
@@ -20,7 +20,7 @@
 //!                  │ admission: in-flight quota → queue depth
 //!                  ▼       (reject = typed RetryAfter, never buffering)
 //!          bounded job queue ──▶ dispatcher thread
-//!                                   │ gather window, then up to
+//!                                   │ everything queued, up to
 //!                                   │ `max_batch` jobs at once
 //!                                   ▼
 //!                       `Runtime::submit_batch`
@@ -53,11 +53,14 @@
 //!   — typed, immediate, and carrying a suggested delay — instead of
 //!   buffering unboundedly. Draining rejects new work but answers every
 //!   request already accepted.
-//! * **Batching**: the dispatcher sleeps one gather window after the queue
-//!   becomes non-empty, so requests arriving close together — from *any*
-//!   mix of connections — land in one [`rtpl_runtime::Runtime::submit_batch`]
-//!   call and the runtime's fingerprint grouping amortizes value gathers
-//!   across clients.
+//! * **Batching**: the dispatcher takes everything queued (up to
+//!   [`ServerConfig::max_batch`]) the moment the queue is non-empty, so
+//!   requests admitted while one batch runs — from *any* mix of
+//!   connections — land together in the next
+//!   [`rtpl_runtime::Runtime::submit_batch`] call and the runtime's
+//!   fingerprint grouping amortizes value gathers across clients. Batches
+//!   grow with load; a lone request waits for nothing.
+//!   [`ServerConfig::gather_window`] can hold each batch open longer.
 //! * **Metrics** ([`Histogram`]): per-request-kind log-bucketed latency
 //!   histograms plus the runtime's own counters
 //!   ([`rtpl_runtime::RuntimeStats::render_plaintext`]), served as

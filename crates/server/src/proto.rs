@@ -377,11 +377,16 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ProtoError> {
     Ok((id, resp))
 }
 
-/// Writes one frame: `u32` length prefix, then the payload.
+/// Writes one frame: `u32` length prefix, then the payload, in one
+/// `write_all`. On an unbuffered socket two writes would go out as two
+/// segments (Nagle is off), and a peer woken by the first would have to
+/// sleep and wake again for the second.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -578,5 +583,24 @@ mod tests {
         let huge = (MAX_FRAME as u32 + 1).to_le_bytes();
         let mut cursor = io::Cursor::new(huge.to_vec());
         assert!(read_frame(&mut cursor).is_err());
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        /// Records the length of every `write` call.
+        struct Writes(Vec<usize>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let payload = encode_request(5, &Request::Stats);
+        let mut w = Writes(Vec::new());
+        write_frame(&mut w, &payload).unwrap();
+        assert_eq!(w.0, [4 + payload.len()]);
     }
 }

@@ -1,4 +1,4 @@
-//! The service itself: listeners, admission control, the gather-window
+//! The service itself: listeners, admission control, the batching
 //! dispatcher, and graceful drain.
 //!
 //! Thread structure (all plain `std::thread`, no async runtime):
@@ -9,10 +9,12 @@
 //!   an `mpsc` channel, so the dispatcher never blocks on a slow client's
 //!   socket);
 //! * one **dispatcher** draining the bounded queue into
-//!   [`Runtime::submit_batch`] after a short gather window, so requests
-//!   arriving close together — from any mix of connections — share one
-//!   batch and the runtime's fingerprint grouping amortizes across
-//!   clients.
+//!   [`Runtime::submit_batch`] as soon as it holds a job. Jobs admitted
+//!   while a batch runs — from any mix of connections — form the next
+//!   batch, so batches grow with load and the runtime's fingerprint
+//!   grouping amortizes across clients, while a lone request waits for
+//!   nothing (group commit). Replies go out after the queue lock is
+//!   released.
 //!
 //! Admission is two checks, both rejecting with a typed
 //! [`Response::RetryAfter`] instead of buffering: a per-connection
@@ -44,8 +46,11 @@ pub struct ServerConfig {
     /// Bound on one connection's unanswered solve jobs; beyond it,
     /// [`RetryReason::QuotaExceeded`].
     pub client_inflight: usize,
-    /// How long the dispatcher waits after the queue becomes non-empty
-    /// before draining a batch — the cross-client batching knob.
+    /// Optional hold before each batch. `Duration::ZERO` (the default)
+    /// holds nothing: the dispatcher takes whatever queued while the
+    /// previous batch ran. A non-zero window keeps the batch open on the
+    /// queue's condvar until the window passes, `max_batch` jobs are
+    /// queued, or a drain or stop begins.
     pub gather_window: Duration,
     /// Most jobs drained into one [`Runtime::submit_batch`] call.
     pub max_batch: usize,
@@ -95,7 +100,7 @@ impl Default for ServerConfig {
             runtime: RuntimeConfig::default(),
             queue_depth: 256,
             client_inflight: 32,
-            gather_window: Duration::from_micros(200),
+            gather_window: Duration::ZERO,
             max_batch: 128,
             retry_after_ms: 2,
             registry_capacity: 128,
@@ -505,8 +510,8 @@ impl Inner {
     fn begin_drain(&self) {
         let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
         q.draining = true;
-        // Wake the dispatcher in case it sleeps on an empty queue with
-        // nothing else ever arriving.
+        // Wake the dispatcher in case it waits on an empty queue with
+        // nothing else ever arriving, or holds a batch open.
         self.not_empty.notify_all();
     }
 
@@ -542,8 +547,69 @@ impl Inner {
         q.q.push_back(job);
         q.open += 1;
         self.metrics.accepted.fetch_add(1, Ordering::Relaxed);
-        self.not_empty.notify_all();
+        // The dispatcher is the only thread that waits on `not_empty`.
+        self.not_empty.notify_one();
         Ok(())
+    }
+
+    /// Blocks until the queue holds a job, then takes the next batch:
+    /// everything queued, up to `max_batch`, in the same critical section.
+    /// Jobs admitted while a batch runs therefore form the next one. A
+    /// non-zero [`ServerConfig::gather_window`] first holds the batch open
+    /// on the queue's condvar, until the window passes, `max_batch` jobs
+    /// are queued, or a drain or stop begins. `None` once stop was
+    /// requested and nothing is left to answer.
+    fn next_batch(&self) -> Option<Vec<QueuedSolve>> {
+        let max_batch = self.cfg.max_batch.max(1);
+        let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
+        while q.q.is_empty() && !self.stop.load(Ordering::SeqCst) {
+            q = self.not_empty.wait(q).unwrap_or_else(|e| e.into_inner());
+        }
+        if q.q.is_empty() {
+            return None;
+        }
+        let window = self.cfg.gather_window;
+        if !window.is_zero() {
+            // `None` (a window past the clock's range) holds until one of
+            // the other conditions ends it.
+            let until = Instant::now().checked_add(window);
+            while q.q.len() < max_batch && !q.draining && !self.stop.load(Ordering::SeqCst) {
+                let left = until.map_or(window, |t| t.saturating_duration_since(Instant::now()));
+                if left.is_zero() {
+                    break;
+                }
+                q = self
+                    .not_empty
+                    .wait_timeout(q, left)
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0;
+            }
+        }
+        let take = q.q.len().min(max_batch);
+        Some(q.q.drain(..take).collect())
+    }
+
+    /// Replies to one taken job. Runs without the queue lock; the job
+    /// stays counted in `open` until [`Inner::close`].
+    fn answer(&self, job: QueuedSolve, resp: Response) {
+        // Counters and the client's quota slot move before the reply so a
+        // client that reads its response immediately observes them updated
+        // (and may pipeline its next request at once).
+        self.metrics.latency[job.kind_idx].record(job.t0.elapsed().as_nanos() as u64);
+        self.metrics.answered.fetch_add(1, Ordering::Relaxed);
+        job.inflight.fetch_sub(1, Ordering::AcqRel);
+        let _ = job.reply.send((job.id, resp));
+    }
+
+    /// Retires `answered` jobs of one batch, every one already replied to,
+    /// so [`Inner::wait_drained`] returns only once each accepted job was
+    /// answered.
+    fn close(&self, answered: usize) {
+        let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
+        q.open -= answered;
+        if q.open == 0 {
+            self.drained.notify_all();
+        }
     }
 }
 
@@ -561,7 +627,10 @@ fn accept_loop(inner: &Arc<Inner>, listener: TcpListener) {
         }
         let _ = stream.set_nodelay(true);
         inner.metrics.connections.fetch_add(1, Ordering::Relaxed);
-        let Ok(read_half) = stream.try_clone() else {
+        // Both clones before anything is registered: a failed clone
+        // (`EMFILE`) drops the stream with nothing recorded, instead of
+        // pinning a read half that no reader thread would ever remove.
+        let (Ok(read_half), Ok(writer_half)) = (stream.try_clone(), stream.try_clone()) else {
             continue;
         };
         let conn_id = inner.next_conn_id.fetch_add(1, Ordering::Relaxed);
@@ -570,10 +639,6 @@ fn accept_loop(inner: &Arc<Inner>, listener: TcpListener) {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .insert(conn_id, read_half);
-        let writer_half = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
         let (tx, rx) = mpsc::channel::<(u64, Response)>();
         let writer = std::thread::spawn(move || writer_loop(writer_half, rx));
         let reader = std::thread::spawn({
@@ -930,90 +995,53 @@ fn metrics_loop(inner: &Arc<Inner>, listener: TcpListener) {
 }
 
 fn dispatcher_loop(inner: &Arc<Inner>) {
-    loop {
-        {
-            let mut q = inner.queue.lock().unwrap_or_else(|e| e.into_inner());
-            while q.q.is_empty() && !inner.stop.load(Ordering::SeqCst) {
-                q = inner.not_empty.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
-            if q.q.is_empty() {
-                return; // stop requested, nothing left to answer
-            }
-        }
-        // Gather window: let near-simultaneous requests join this batch.
-        std::thread::sleep(inner.cfg.gather_window);
-        let drained: Vec<QueuedSolve> = {
-            let mut q = inner.queue.lock().unwrap_or_else(|e| e.into_inner());
-            let take = q.q.len().min(inner.cfg.max_batch);
-            q.q.drain(..take).collect()
-        };
-        if drained.is_empty() {
-            continue;
-        }
+    while let Some(drained) = inner.next_batch() {
+        let taken = drained.len();
         // Jobs whose deadline passed while they queued are answered here,
         // typed, without spending any runtime work on them.
         let now = Instant::now();
         let (expired, batch): (Vec<_>, Vec<_>) = drained
             .into_iter()
             .partition(|j| j.deadline.is_some_and(|d| d <= now));
-        if !expired.is_empty() {
-            let mut q = inner.queue.lock().unwrap_or_else(|e| e.into_inner());
-            for job in expired {
-                let resp = Response::Error {
+        for job in expired {
+            inner.metrics.expired.fetch_add(1, Ordering::Relaxed);
+            inner.answer(
+                job,
+                Response::Error {
                     code: err_code::DEADLINE_EXCEEDED,
                     message: "job deadline expired while queued".to_string(),
+                },
+            );
+        }
+        if !batch.is_empty() {
+            let mut xs: Vec<Vec<f64>> = batch.iter().map(|j| vec![0.0; j.factors.n()]).collect();
+            let jobs: Vec<Job<'_, NoBody>> = batch
+                .iter()
+                .zip(xs.iter_mut())
+                .map(|(j, x)| {
+                    let job = Job::solve(&j.factors, &j.b, x);
+                    match j.deadline {
+                        Some(d) => job.with_deadline(d),
+                        None => job,
+                    }
+                })
+                .collect();
+            let outcome = inner.runtime.submit_batch(jobs);
+            for ((job, x), result) in batch.into_iter().zip(xs).zip(outcome.jobs) {
+                let resp = match result {
+                    Ok(out) => Response::Solved {
+                        cached: out.cached,
+                        policy: out.policy as u8,
+                        x,
+                    },
+                    Err(e) => Response::Error {
+                        code: error_code_for(&e),
+                        message: e.to_string(),
+                    },
                 };
-                inner.metrics.latency[job.kind_idx].record(job.t0.elapsed().as_nanos() as u64);
-                inner.metrics.expired.fetch_add(1, Ordering::Relaxed);
-                inner.metrics.answered.fetch_add(1, Ordering::Relaxed);
-                job.inflight.fetch_sub(1, Ordering::AcqRel);
-                let _ = job.reply.send((job.id, resp));
-                q.open -= 1;
-            }
-            if q.open == 0 {
-                inner.drained.notify_all();
+                inner.answer(job, resp);
             }
         }
-        if batch.is_empty() {
-            continue;
-        }
-        let mut xs: Vec<Vec<f64>> = batch.iter().map(|j| vec![0.0; j.factors.n()]).collect();
-        let jobs: Vec<Job<'_, NoBody>> = batch
-            .iter()
-            .zip(xs.iter_mut())
-            .map(|(j, x)| {
-                let job = Job::solve(&j.factors, &j.b, x);
-                match j.deadline {
-                    Some(d) => job.with_deadline(d),
-                    None => job,
-                }
-            })
-            .collect();
-        let outcome = inner.runtime.submit_batch(jobs);
-        let mut q = inner.queue.lock().unwrap_or_else(|e| e.into_inner());
-        for ((job, x), result) in batch.into_iter().zip(xs).zip(outcome.jobs) {
-            let resp = match result {
-                Ok(out) => Response::Solved {
-                    cached: out.cached,
-                    policy: out.policy as u8,
-                    x,
-                },
-                Err(e) => Response::Error {
-                    code: error_code_for(&e),
-                    message: e.to_string(),
-                },
-            };
-            // Counters and the client's quota slot move before the reply so
-            // a client that reads its response immediately observes them
-            // updated (and may pipeline its next request at once).
-            inner.metrics.latency[job.kind_idx].record(job.t0.elapsed().as_nanos() as u64);
-            inner.metrics.answered.fetch_add(1, Ordering::Relaxed);
-            job.inflight.fetch_sub(1, Ordering::AcqRel);
-            let _ = job.reply.send((job.id, resp));
-            q.open -= 1;
-        }
-        if q.open == 0 {
-            inner.drained.notify_all();
-        }
+        inner.close(taken);
     }
 }

@@ -3,7 +3,7 @@
 //! A tokenizer-level pass (comments, string/char literals, and
 //! `#[cfg(test)]` spans are masked out before matching — no false hits
 //! from prose or test code) over every `src/` tree in the workspace,
-//! enforcing four local invariants that `clippy` does not:
+//! enforcing local invariants that `clippy` does not:
 //!
 //! 1. **`unsafe` is justified** — every `unsafe` token must have a
 //!    `// SAFETY:` comment (or a `# Safety` doc contract, for `unsafe fn`
@@ -28,6 +28,12 @@
 //!    only in the files on the in-lint allowlist (fault injection's
 //!    `RTPL_FAILPOINTS`); behaviour is configured through typed config,
 //!    not the process environment.
+//! 8. **No sleeping on the service path** (`service-sleep`) — no
+//!    `thread::sleep` in the non-test code of the rule-2 crates, except
+//!    in the files on the in-lint allowlist (the client's retry backoff).
+//!    A service thread that must wait waits on a condvar or channel with
+//!    a timeout, so a drain or a new job can end the wait. Like rule 3's,
+//!    this allowlist cannot rot.
 //!
 //! Rules 5 and 6 look across files; rules 5–7 skip
 //! `crates/bench/src/bin/benchmark/`, a package of its own.
@@ -62,6 +68,12 @@ const ORDERING_ALLOWLIST: &[&str] = &[
 
 /// The only files that may read the process environment (rule 7).
 const ENV_ALLOWLIST: &[&str] = &["crates/sparse/src/failpoint.rs"];
+
+/// The only files under [`NO_PANIC_ROOTS`] that may sleep a thread
+/// (rule 8): the client backs off between retries on its caller's thread.
+const SLEEP_ALLOWLIST: &[&str] = &["crates/server/src/client.rs"];
+
+const SLEEP: &str = "thread::sleep";
 
 /// The stand-alone benchmark package, outside rules 5–7.
 const BENCHMARK_PACKAGE: &str = "crates/bench/src/bin/benchmark/";
@@ -105,9 +117,14 @@ fn main() {
         }
     }
     findings.extend(vocabulary(&sources));
-    for rel in ORDERING_ALLOWLIST {
-        let src = std::fs::read_to_string(root.join(rel)).ok();
-        findings.extend(stale_allowlist_entry(rel, src.as_deref()));
+    for (list, files, patterns) in [
+        ("ordering", ORDERING_ALLOWLIST, ATOMIC_ORDERINGS),
+        ("sleep", SLEEP_ALLOWLIST, &[SLEEP]),
+    ] {
+        for rel in files {
+            let src = std::fs::read_to_string(root.join(rel)).ok();
+            findings.extend(stale_allowlist_entry(list, patterns, rel, src.as_deref()));
+        }
     }
 
     if findings.is_empty() {
@@ -230,8 +247,21 @@ fn lint_file(rel: &Path, src: &str, findings: &mut Vec<String>) {
         }
     }
 
+    let service_path = NO_PANIC_ROOTS.iter().any(|r| rel_str.starts_with(r));
+
+    // Rule 8: no sleeping on the service path.
+    if service_path && !SLEEP_ALLOWLIST.contains(&rel_str.as_str()) {
+        for off in find_all(&masked, SLEEP) {
+            let line = line_of(off);
+            findings.push(format!(
+                "{rel_str}:{line}: service-sleep: `{SLEEP}` in service-path code — \
+                 wait on a condvar or channel with a timeout instead"
+            ));
+        }
+    }
+
     // Rule 2: no panic debt in the service path.
-    if NO_PANIC_ROOTS.iter().any(|r| rel_str.starts_with(r)) {
+    if service_path {
         for off in find_all(&masked, ".unwrap()") {
             let line = line_of(off);
             if !justified(line, &["PANIC:"]) {
@@ -355,21 +385,30 @@ fn enum_variants(decl: &str) -> Vec<String> {
     names
 }
 
-/// Rule 3's other half: an allowlist entry must still earn its place.
-/// `src` is the file's content, `None` if it cannot be read.
-fn stale_allowlist_entry(rel: &str, src: Option<&str>) -> Option<String> {
+/// The other half of rules 3 and 8: an entry of the `list` allowlist
+/// must still use one of its `patterns` outside test code. `src` is the
+/// file's content, `None` if it cannot be read.
+fn stale_allowlist_entry(
+    list: &str,
+    patterns: &[&str],
+    rel: &str,
+    src: Option<&str>,
+) -> Option<String> {
     let why = match src {
-        None => "the file does not exist",
+        None => "the file does not exist".to_string(),
         Some(src) => {
             let masked = mask_tests(&mask_lexical(src));
-            if ATOMIC_ORDERINGS.iter().any(|pat| masked.contains(pat)) {
+            if patterns.iter().any(|pat| masked.contains(pat)) {
                 return None;
             }
-            "the file uses no atomic ordering outside test code"
+            format!(
+                "the file uses none of `{}` outside test code",
+                patterns.join("`, `")
+            )
         }
     };
     Some(format!(
-        "{rel}:0: ordering-allowlist-stale: {why} — remove it from rtpl-lint's allowlist"
+        "{rel}:0: {list}-allowlist-stale: {why} — remove it from rtpl-lint's allowlist"
     ))
 }
 
@@ -757,13 +796,51 @@ mod tests {
 
     #[test]
     fn allowlist_entries_must_still_use_an_ordering() {
+        let stale = |rel, src| stale_allowlist_entry("ordering", ATOMIC_ORDERINGS, rel, src);
         let rel = "crates/runtime/src/x.rs";
-        let gone = stale_allowlist_entry(rel, None).expect("missing file is stale");
+        let gone = stale(rel, None).expect("missing file is stale");
         assert!(gone.contains("ordering-allowlist-stale"), "{gone}");
         let only_in_tests = "fn f() {}\n#[cfg(test)]\nmod tests {\n    \
                              fn g() { X.load(Ordering::Relaxed); }\n}\n// Ordering::Acquire\n";
-        assert!(stale_allowlist_entry(rel, Some(only_in_tests)).is_some());
+        assert!(stale(rel, Some(only_in_tests)).is_some());
         let live = "fn f() { X.store(1, Ordering::Release); }\n";
-        assert_eq!(stale_allowlist_entry(rel, Some(live)), None);
+        assert_eq!(stale(rel, Some(live)), None);
+    }
+
+    #[test]
+    fn service_path_sleeps_are_refused_outside_the_allowlist() {
+        let lint = |rel: &str, src: &str| {
+            let mut findings = Vec::new();
+            lint_file(Path::new(rel), src, &mut findings);
+            findings
+        };
+        let sleep = "fn f(w: Duration) {\n    std::thread::sleep(w);\n}\n";
+        let findings = lint("crates/server/src/server.rs", sleep);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(
+            findings[0].starts_with("crates/server/src/server.rs:2: service-sleep"),
+            "{findings:?}"
+        );
+        let imported = "use std::thread;\nfn f() { thread::sleep(W); }\n";
+        assert_eq!(lint("crates/store/src/lib.rs", imported).len(), 1);
+        // The client's backoff, code outside the service crates, prose,
+        // string literals and test code are all fine.
+        assert!(lint("crates/server/src/client.rs", sleep).is_empty());
+        assert!(lint("crates/executor/src/x.rs", sleep).is_empty());
+        let quiet = "// thread::sleep is banned\nconst S: &str = \"thread::sleep\";\n\
+                     #[cfg(test)]\nmod tests { fn f() { std::thread::sleep(W); } }\n";
+        assert!(lint("crates/runtime/src/x.rs", quiet).is_empty());
+        // The allowlist cannot rot.
+        let rel = "crates/server/src/client.rs";
+        let stale = stale_allowlist_entry("sleep", &[SLEEP], rel, Some("fn f() {}\n"));
+        assert!(
+            stale.is_some_and(
+                |f| f.starts_with("crates/server/src/client.rs:0: sleep-allowlist-stale")
+            ),
+        );
+        assert_eq!(
+            stale_allowlist_entry("sleep", &[SLEEP], rel, Some(sleep)),
+            None
+        );
     }
 }

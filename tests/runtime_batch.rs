@@ -339,6 +339,39 @@ fn empty_batch_and_submit_parity() {
     assert!(!o.cached, "first request for the pattern must build");
 }
 
+/// A batch fans its groups over the host's threads while it has cold
+/// inspections or enough warm work to share; a small all-warm batch runs
+/// on the submitting thread alone, answers unchanged.
+#[test]
+fn small_warm_batches_stay_on_the_submitting_thread() {
+    let host = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let rt = Runtime::new(test_cfg());
+    for (mesh, warm_workers) in [(8, 1), (48, host.min(2))] {
+        let fs: Vec<IluFactors> = pattern_set(2, mesh, 5)
+            .iter()
+            .map(factors_from_pattern)
+            .collect();
+        let n = fs[0].n();
+        let b = rhs(n, 3);
+        let run = || {
+            let mut xs = vec![vec![0.0; n]; 2];
+            let jobs = fs
+                .iter()
+                .zip(xs.iter_mut())
+                .map(|(f, x)| Job::<NoBody>::solve(f, &b, x))
+                .collect();
+            let o = rt.submit_batch(jobs);
+            assert_eq!(o.ok_count(), 2);
+            ((o.groups, o.cold_groups, o.workers), xs)
+        };
+        let (cold, first) = run();
+        assert_eq!(cold, (2, 2, host.min(2)), "mesh {mesh}: cold batch");
+        let (warm, again) = run();
+        assert_eq!(warm, (2, 0, warm_workers), "mesh {mesh}: warm batch");
+        assert_eq!(first, again, "mesh {mesh}: answers depend on the workers");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // A lone job is a batch of one: `submit(job)` and `submit_batch(vec![job])`
 // run the same group runner, so nothing observable may depend on the door.

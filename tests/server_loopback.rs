@@ -15,7 +15,7 @@ use rtpl::server::{Client, ClientError, Server, ServerConfig};
 use rtpl::sparse::gen::laplacian_5pt;
 use rtpl::sparse::{ilu0, IluFactors};
 use rtpl::workload::requests::pattern_set;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn test_server_config() -> ServerConfig {
     ServerConfig {
@@ -483,12 +483,10 @@ fn registry_is_bounded_and_evicts_lru() {
 
 /// Several clients hammering concurrently: all answers arrive, all solved
 /// values are bit-exact, and cross-client batching shows up in the
-/// runtime's batch counters.
+/// runtime's batch counters — both with no hold (readers admit while the
+/// previous batch's replies go out) and with a 5 ms hold.
 #[test]
 fn concurrent_clients_are_answered_and_bit_exact() {
-    let mut cfg = test_server_config();
-    cfg.gather_window = Duration::from_millis(5);
-    let server = Server::spawn(cfg).unwrap();
     let patterns = pattern_set(3, 6, 55);
     let factors: Vec<IluFactors> = patterns
         .iter()
@@ -501,40 +499,89 @@ fn concurrent_clients_are_answered_and_bit_exact() {
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.11).collect();
     let expects: Vec<Vec<f64>> = factors.iter().map(|f| reference_solve(f, &b)).collect();
 
-    let addr = server.addr();
-    std::thread::scope(|scope| {
-        for c in 0..4usize {
-            let factors = &factors;
-            let expects = &expects;
-            let b = &b;
-            scope.spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
-                for i in 0..12 {
-                    let p = (c + i) % factors.len();
-                    let (resp, _) = client
-                        .call_retrying(&Request::Solve {
-                            l: factors[p].l.clone(),
-                            u: factors[p].u.clone(),
-                            b: b.clone(),
-                        })
-                        .unwrap();
-                    match resp {
-                        Response::Solved { x, .. } => {
-                            assert_eq!(x, expects[p], "client {c} req {i} deviates")
+    for window in [
+        ServerConfig::default().gather_window,
+        Duration::from_millis(5),
+    ] {
+        let mut cfg = test_server_config();
+        cfg.gather_window = window;
+        let server = Server::spawn(cfg).unwrap();
+        let addr = server.addr();
+        std::thread::scope(|scope| {
+            for c in 0..4usize {
+                let factors = &factors;
+                let expects = &expects;
+                let b = &b;
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    for i in 0..12 {
+                        let p = (c + i) % factors.len();
+                        let (resp, _) = client
+                            .call_retrying(&Request::Solve {
+                                l: factors[p].l.clone(),
+                                u: factors[p].u.clone(),
+                                b: b.clone(),
+                            })
+                            .unwrap();
+                        match resp {
+                            Response::Solved { x, .. } => {
+                                assert_eq!(x, expects[p], "{window:?}: client {c} req {i} deviates")
+                            }
+                            other => panic!("{window:?}: client {c} req {i}: {other:?}"),
                         }
-                        other => panic!("client {c} req {i}: {other:?}"),
                     }
-                }
-            });
-        }
-    });
-    let stats = server.stats();
-    assert_eq!(stats.accepted_jobs, 48);
-    assert_eq!(stats.answered_jobs, 48);
-    let rt = server.runtime().stats();
-    assert!(rt.batches > 0);
-    assert_eq!(rt.batch_jobs, 48);
+                });
+            }
+        });
+        let stats = server.stats();
+        assert_eq!(stats.accepted_jobs, 48, "{window:?}");
+        assert_eq!(stats.answered_jobs, 48, "{window:?}");
+        let rt = server.runtime().stats();
+        assert!(rt.batches > 0, "{window:?}");
+        assert_eq!(rt.batch_jobs, 48, "{window:?}");
+        server.shutdown().unwrap();
+    }
+}
+
+/// A hold is a bounded wait on the queue, not a sleep: a drain ends it at
+/// once, so a server configured with a 30 s window still answers its
+/// queued solve and shuts down promptly.
+#[test]
+fn a_drain_ends_the_gather_hold() {
+    let mut cfg = test_server_config();
+    cfg.gather_window = Duration::from_secs(30);
+    let server = Server::spawn(cfg).unwrap();
+    let (f, b) = test_factors();
+    let expect = reference_solve(&f, &b);
+
+    let mut client = Client::connect(server.addr()).unwrap();
+    client
+        .send(&Request::Solve {
+            l: f.l.clone(),
+            u: f.u.clone(),
+            b: b.clone(),
+        })
+        .unwrap();
+    // The solve must be queued (not rejected as draining) before the drain.
+    let admitted = Instant::now();
+    while server.stats().accepted_jobs == 0 {
+        assert!(
+            admitted.elapsed() < Duration::from_secs(10),
+            "the solve was never admitted"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let start = Instant::now();
     server.shutdown().unwrap();
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_secs(5),
+        "shutdown waited {took:?} on the hold"
+    );
+    match client.recv().unwrap().1 {
+        Response::Solved { x, .. } => assert_eq!(x, expect, "held solve deviates"),
+        other => panic!("{other:?}"),
+    }
 }
 
 /// The `WarmCheck` ladder across a server restart: memory-warm while the
