@@ -10,9 +10,48 @@
 
 use crate::pool::WorkerPool;
 use crate::report::ExecReport;
-use crate::rows::DisjointSlice;
 use rtpl_inspector::partition::contiguous_range;
+use std::cell::UnsafeCell;
 use std::time::Instant;
+
+/// A slice that workers may write at **disjoint** ranges concurrently:
+/// worker `p` takes its own block of the output, or its own slot of the
+/// partial sums. Disjointness is the caller's obligation, spelled out on
+/// [`DisjointSlice::range_mut`].
+struct DisjointSlice<'a> {
+    data: &'a [UnsafeCell<f64>],
+}
+
+// SAFETY: writes go through `range_mut`, whose contract demands
+// disjointness; reads happen only after the parallel section joins.
+unsafe impl Sync for DisjointSlice<'_> {}
+
+impl<'a> DisjointSlice<'a> {
+    /// Wraps a uniquely borrowed slice.
+    fn new(data: &'a mut [f64]) -> Self {
+        // SAFETY: UnsafeCell<f64> has the same layout as f64, and the
+        // unique borrow of `data` is held for 'a.
+        let cells = unsafe { &*(data as *mut [f64] as *const [UnsafeCell<f64>]) };
+        DisjointSlice { data: cells }
+    }
+
+    /// Mutable access to `lo..hi`.
+    ///
+    /// # Safety
+    /// The range must be disjoint from every range any other thread accesses
+    /// during the current parallel section.
+    // Interior mutability through UnsafeCell: &mut from &self is the whole
+    // point, with uniqueness guaranteed by the caller's disjointness
+    // contract above.
+    #[allow(clippy::mut_from_ref)]
+    #[inline]
+    unsafe fn range_mut(&self, lo: usize, hi: usize) -> &mut [f64] {
+        let cells = &self.data[lo..hi];
+        // SAFETY: the caller's disjointness contract (above) makes this
+        // range exclusively ours; the bounds were checked by the slicing.
+        unsafe { std::slice::from_raw_parts_mut(UnsafeCell::raw_get(cells.as_ptr()), cells.len()) }
+    }
+}
 
 fn block_report(n: usize, nprocs: usize, wall: std::time::Duration) -> ExecReport {
     ExecReport {
@@ -35,33 +74,29 @@ where
     F: Fn(usize) -> f64 + Sync,
 {
     assert_eq!(out.len(), n);
+    doall_blocked(pool, out, &|_, lo, chunk| {
+        for (k, slot) in chunk.iter_mut().enumerate() {
+            *slot = body(lo + k);
+        }
+    })
+}
+
+/// Runs `body(p, lo, &mut out[lo..hi])` on every worker `p` with its
+/// contiguous range of `out` — the SPMD form used when the body wants to
+/// process a whole block at once (e.g. a blocked matvec).
+pub fn doall_blocked<F>(pool: &WorkerPool, out: &mut [f64], body: &F) -> ExecReport
+where
+    F: Fn(usize, usize, &mut [f64]) + Sync,
+{
+    let n = out.len();
     let nprocs = pool.nworkers();
     let ds = DisjointSlice::new(out);
     let t0 = Instant::now();
     pool.run(&|p| {
         let (lo, hi) = contiguous_range(n, nprocs, p);
-        // SAFETY: contiguous ranges of distinct workers are disjoint.
-        let chunk = unsafe { ds.range_mut(lo, hi) };
-        for (k, slot) in chunk.iter_mut().enumerate() {
-            *slot = body(lo + k);
-        }
-    })
-    .unwrap_or_else(|e| panic!("{e}"));
-    block_report(n, nprocs, t0.elapsed())
-}
-
-/// Runs `body(p, lo, hi)` on every worker with its contiguous range — the
-/// SPMD form used when the body wants to process a whole block at once
-/// (e.g. a blocked matvec).
-pub fn doall_blocked<F>(pool: &WorkerPool, n: usize, body: &F) -> ExecReport
-where
-    F: Fn(usize, usize, usize) + Sync,
-{
-    let nprocs = pool.nworkers();
-    let t0 = Instant::now();
-    pool.run(&|p| {
-        let (lo, hi) = contiguous_range(n, nprocs, p);
-        body(p, lo, hi);
+        // SAFETY: `pool.run` calls this once per worker id `p`, and the
+        // contiguous ranges of distinct workers are disjoint.
+        body(p, lo, unsafe { ds.range_mut(lo, hi) });
     })
     .unwrap_or_else(|e| panic!("{e}"));
     block_report(n, nprocs, t0.elapsed())
@@ -86,7 +121,7 @@ where
                 acc += body(i);
             }
             // SAFETY: each worker writes only its own slot.
-            unsafe { ds.write(p, acc) };
+            unsafe { ds.range_mut(p, p + 1)[0] = acc };
         })
         .unwrap_or_else(|e| panic!("{e}"));
     }
@@ -124,15 +159,37 @@ mod tests {
 
     #[test]
     fn doall_blocked_covers_all() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let pool = WorkerPool::new(4);
-        let covered: Vec<AtomicUsize> = (0..37).map(|_| AtomicUsize::new(0)).collect();
-        doall_blocked(&pool, 37, &|_, lo, hi| {
-            for i in lo..hi {
-                covered[i].fetch_add(1, Ordering::Relaxed);
+        let mut out = vec![f64::NAN; 37];
+        doall_blocked(&pool, &mut out, &|p, lo, chunk| {
+            assert_eq!((lo, lo + chunk.len()), contiguous_range(37, 4, p));
+            for (k, slot) in chunk.iter_mut().enumerate() {
+                *slot = (lo + k) as f64;
             }
         });
-        assert!(covered.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+        assert_eq!(out, (0..37).map(|i| i as f64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn disjoint_slice_parallel_writes() {
+        let mut data = vec![0.0; 10];
+        {
+            let ds = DisjointSlice::new(&mut data);
+            std::thread::scope(|s| {
+                for p in 0..2 {
+                    let ds = &ds;
+                    s.spawn(move || {
+                        let (lo, hi) = (p * 5, (p + 1) * 5);
+                        // SAFETY: ranges [0,5) and [5,10) are disjoint.
+                        let chunk = unsafe { ds.range_mut(lo, hi) };
+                        for (k, x) in chunk.iter_mut().enumerate() {
+                            *x = (lo + k) as f64;
+                        }
+                    });
+                }
+            });
+        }
+        assert_eq!(data, (0..10).map(|i| i as f64).collect::<Vec<_>>());
     }
 
     #[test]

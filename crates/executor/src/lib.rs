@@ -72,11 +72,14 @@
 //! checker" are expressed through [`shared::SharedVec`]: solution values
 //! live in `AtomicU64` cells (f64 bit patterns) paired with an atomic
 //! epoch-stamped ready flag per index. Publishing is a `Release` store,
-//! consuming is an `Acquire` load, so every executor here is 100 % safe
-//! code. The only `unsafe` in the crate is [`rows::SharedRows`]
-//! (variable-length row outputs for the parallel numeric factorization) and
-//! the worker-pool job pointer, with invariants documented and checked in
-//! debug builds.
+//! consuming is an `Acquire` load, so every executor that exchanges
+//! computed values between workers does so through `SharedVec` under the
+//! one protocol, in safe code. The crate's `unsafe` sits in two private
+//! places, each site with a `SAFETY` comment that `rtpl-lint` requires:
+//! the worker-pool job pointer, which erases the borrow lifetime of the
+//! job closure for one fork/join that `WorkerPool::run` blocks on; and the
+//! [`mod@doall`] family's disjoint-range slice, which hands each worker
+//! `&mut` access to exactly the contiguous block the partition assigns it.
 //!
 //! [`Schedule`]: rtpl_inspector::Schedule
 
@@ -93,7 +96,6 @@ pub mod pool;
 mod presched;
 mod protocol;
 pub mod report;
-pub mod rows;
 pub mod selfsched;
 pub mod shared;
 pub mod trace;
@@ -106,7 +108,6 @@ pub use doall::{doall, doall_blocked, doall_reduce};
 pub use planned::{ExecutorKind, LoopScratch, PlannedLoop};
 pub use pool::{PoolError, WorkerPool};
 pub use report::ExecReport;
-pub use rows::SharedRows;
 pub use selfsched::{self_scheduling, Chunking};
 pub use shared::{PublishedSource, SharedVec, WaitingSource};
 

@@ -152,12 +152,6 @@ impl SharedVec {
         (f64::from_bits(self.vals[i].load(Ordering::Relaxed)), spins)
     }
 
-    /// Busy-waits for index `i` in the current epoch.
-    #[inline]
-    pub fn wait_get(&self, i: usize) -> (f64, u64) {
-        self.wait_get_at(i, self.current_epoch())
-    }
-
     /// Reads a value that is already known to be published in `epoch`
     /// (e.g. in an earlier pre-scheduled phase, after a barrier). Debug
     /// builds verify the flag.
@@ -167,21 +161,6 @@ impl SharedVec {
         #[cfg(feature = "verify-trace")]
         crate::trace::record_read_plain(i, epoch);
         f64::from_bits(self.vals[i].load(Ordering::Relaxed))
-    }
-
-    /// Reads an already-published value of the current epoch.
-    #[inline]
-    pub fn get_published(&self, i: usize) -> f64 {
-        self.get_published_at(i, self.current_epoch())
-    }
-
-    /// Non-blocking read: `Some(v)` if published in the current epoch.
-    pub fn try_get(&self, i: usize) -> Option<f64> {
-        if self.is_ready_at(i, self.current_epoch()) {
-            Some(f64::from_bits(self.vals[i].load(Ordering::Relaxed)))
-        } else {
-            None
-        }
     }
 
     /// Copies values published in `epoch` into `out`; panics in debug
@@ -196,17 +175,6 @@ impl SharedVec {
     /// Copies current-epoch values into `out`.
     pub fn copy_into(&self, out: &mut [f64]) {
         self.copy_into_at(out, self.current_epoch());
-    }
-
-    /// Copies all published values out; panics in debug builds if any index
-    /// was never published.
-    pub fn into_vec(self) -> Vec<f64> {
-        let epoch = self.current_epoch();
-        debug_assert!((0..self.len()).all(|i| self.is_ready_at(i, epoch)));
-        self.vals
-            .into_iter()
-            .map(|v| f64::from_bits(v.into_inner()))
-            .collect()
     }
 }
 
@@ -279,22 +247,27 @@ mod tests {
     #[test]
     fn publish_then_read() {
         let v = SharedVec::new(4);
+        let e = v.current_epoch();
         v.publish(2, 3.25);
-        assert_eq!(v.try_get(2), Some(3.25));
-        assert_eq!(v.try_get(0), None);
-        assert_eq!(v.wait_get(2), (3.25, 0));
+        assert!(v.is_ready_at(2, e));
+        assert_eq!(v.get_published_at(2, e), 3.25);
+        assert!(!v.is_ready_at(0, e));
+        assert_eq!(v.wait_get_at(2, e), (3.25, 0));
     }
 
     #[test]
     fn begin_run_invalidates_previous_epoch() {
         let v = SharedVec::new(3);
+        let old = v.current_epoch();
         v.publish(0, 1.5);
-        assert_eq!(v.try_get(0), Some(1.5));
+        assert!(v.is_ready_at(0, old));
+        assert_eq!(v.get_published_at(0, old), 1.5);
         let e = v.begin_run();
         assert_eq!(v.current_epoch(), e);
-        assert_eq!(v.try_get(0), None, "old-epoch value must be unpublished");
+        assert!(!v.is_ready_at(0, e), "old-epoch value must be unpublished");
         v.publish_at(0, 2.5, e);
-        assert_eq!(v.try_get(0), Some(2.5));
+        assert!(v.is_ready_at(0, e));
+        assert_eq!(v.get_published_at(0, e), 2.5);
     }
 
     #[test]
@@ -338,23 +311,19 @@ mod tests {
     }
 
     #[test]
-    fn into_vec_round_trip() {
-        let v = SharedVec::new(3);
-        for i in 0..3 {
-            v.publish(i, i as f64 * 1.5);
-        }
-        assert_eq!(v.into_vec(), vec![0.0, 1.5, 3.0]);
-    }
-
-    #[test]
     fn negative_and_special_values_survive_bit_transport() {
         let v = SharedVec::new(3);
+        let e = v.current_epoch();
         v.publish(0, -0.0);
         v.publish(1, f64::INFINITY);
         v.publish(2, 1e-308);
-        assert_eq!(v.get_published(0), -0.0);
-        assert_eq!(v.get_published(1), f64::INFINITY);
-        assert_eq!(v.get_published(2), 1e-308);
+        assert_eq!(v.get_published_at(0, e), -0.0);
+        assert_eq!(v.get_published_at(1, e), f64::INFINITY);
+        assert_eq!(v.get_published_at(2, e), 1e-308);
+        let mut out = [0.0; 3];
+        v.copy_into_at(&mut out, e);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out), bits(&[-0.0, f64::INFINITY, 1e-308]));
     }
 
     #[test]

@@ -12,15 +12,12 @@
 //!   ([`TriangularSolvePlan`]), compiled once into execution-order layouts
 //!   ([`CompiledTriSolve`]), then handed the factor values on every solve
 //!   under any [`ExecutorKind`];
-//! * [`factor`] — the parallel numeric incomplete factorization (row
-//!   granularity, pivot rows awaited through [`rtpl_executor::SharedRows`]);
 //! * [`precond`] — Jacobi and ILU preconditioner application;
 //! * [`solvers`] — preconditioned CG (symmetric problems) and restarted
 //!   GMRES(m) (the convection-dominated Appendix-I problems).
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
-pub mod factor;
 pub mod parvec;
 pub mod precond;
 pub mod solvers;

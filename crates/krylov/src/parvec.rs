@@ -7,18 +7,13 @@
 //! product, sparse matvec, copies and scalings.
 
 use rtpl_executor::doall::doall_blocked;
-use rtpl_executor::rows::DisjointSlice;
 use rtpl_executor::WorkerPool;
 use rtpl_sparse::Csr;
 
 /// `y ← y + α·x`.
 pub fn axpy(pool: &WorkerPool, alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len());
-    let n = y.len();
-    let ds = DisjointSlice::new(y);
-    doall_blocked(pool, n, &|_, lo, hi| {
-        // SAFETY: contiguous worker ranges are disjoint.
-        let chunk = unsafe { ds.range_mut(lo, hi) };
+    doall_blocked(pool, y, &|_, lo, chunk| {
         for (k, slot) in chunk.iter_mut().enumerate() {
             *slot += alpha * x[lo + k];
         }
@@ -28,11 +23,7 @@ pub fn axpy(pool: &WorkerPool, alpha: f64, x: &[f64], y: &mut [f64]) {
 /// `y ← x + β·y` (the "xpby" update CG uses for the direction vector).
 pub fn xpby(pool: &WorkerPool, x: &[f64], beta: f64, y: &mut [f64]) {
     assert_eq!(x.len(), y.len());
-    let n = y.len();
-    let ds = DisjointSlice::new(y);
-    doall_blocked(pool, n, &|_, lo, hi| {
-        // SAFETY: contiguous worker ranges are disjoint.
-        let chunk = unsafe { ds.range_mut(lo, hi) };
+    doall_blocked(pool, y, &|_, lo, chunk| {
         for (k, slot) in chunk.iter_mut().enumerate() {
             *slot = x[lo + k] + beta * *slot;
         }
@@ -54,11 +45,7 @@ pub fn norm2(pool: &WorkerPool, x: &[f64]) -> f64 {
 pub fn matvec(pool: &WorkerPool, a: &Csr, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), a.ncols());
     assert_eq!(y.len(), a.nrows());
-    let n = a.nrows();
-    let ds = DisjointSlice::new(y);
-    doall_blocked(pool, n, &|_, lo, hi| {
-        // SAFETY: contiguous worker ranges are disjoint.
-        let chunk = unsafe { ds.range_mut(lo, hi) };
+    doall_blocked(pool, y, &|_, lo, chunk| {
         for (k, slot) in chunk.iter_mut().enumerate() {
             let i = lo + k;
             let mut acc = 0.0;
@@ -73,21 +60,14 @@ pub fn matvec(pool: &WorkerPool, a: &Csr, x: &[f64], y: &mut [f64]) {
 /// `y ← x`.
 pub fn copy(pool: &WorkerPool, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len());
-    let ds = DisjointSlice::new(y);
-    doall_blocked(pool, x.len(), &|_, lo, hi| {
-        // SAFETY: contiguous worker ranges are disjoint.
-        let chunk = unsafe { ds.range_mut(lo, hi) };
-        chunk.copy_from_slice(&x[lo..hi]);
+    doall_blocked(pool, y, &|_, lo, chunk| {
+        chunk.copy_from_slice(&x[lo..lo + chunk.len()]);
     });
 }
 
 /// `x ← α·x`.
 pub fn scale(pool: &WorkerPool, alpha: f64, x: &mut [f64]) {
-    let n = x.len();
-    let ds = DisjointSlice::new(x);
-    doall_blocked(pool, n, &|_, lo, hi| {
-        // SAFETY: contiguous worker ranges are disjoint.
-        let chunk = unsafe { ds.range_mut(lo, hi) };
+    doall_blocked(pool, x, &|_, _, chunk| {
         for slot in chunk {
             *slot *= alpha;
         }

@@ -392,6 +392,16 @@ mod tests {
         b.push(1, 1, 1.0);
         let a = b.build();
         assert!(matches!(ilu0(&a), Err(SparseError::ZeroPivot { row: 0 })));
+        // A pivot annihilated by elimination: [1 1; 1 1] gives u22 = 1 - 1*1.
+        let mut b = CooBuilder::new(2, 2);
+        for (i, j) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            b.push(i, j, 1.0);
+        }
+        let a = b.build();
+        assert!(matches!(
+            iluk(&a, 0),
+            Err(SparseError::ZeroPivot { row: 1 })
+        ));
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Full preconditioned Krylov solve — the PCGPAK workflow of Appendix II.
 //!
 //! Solves the 5-PT convection–diffusion problem with restarted GMRES
-//! preconditioned by ILU(0), with every kernel parallelized:
-//! matvec/SAXPY/dots over contiguous blocks, the ILU numeric factorization
+//! preconditioned by ILU(0): matvec/SAXPY/dots run over contiguous blocks
 //! and both triangular sweeps through the inspector/executor.
 //!
 //! Run with: `cargo run --release --example krylov_pde`
 
-use rtpl::krylov::factor::{parallel_iluk, FactorSync};
 use rtpl::krylov::{gmres, ExecutorKind, KrylovConfig, Preconditioner, Sorting};
 use rtpl::prelude::*;
+use rtpl::sparse::iluk;
 use rtpl::workload::{ProblemId, TestProblem};
 use std::time::Instant;
 
@@ -22,13 +21,12 @@ fn main() {
     let nprocs = std::thread::available_parallelism().map_or(2, |c| c.get().min(4));
     let pool = WorkerPool::new(nprocs);
 
-    // Parallel numeric factorization (row-granularity self-execution).
+    // Sequential numeric factorization.
     let t0 = Instant::now();
-    let f = parallel_iluk(&pool, a, 0, FactorSync::SelfExecuting).expect("parallel ILU");
+    let f = iluk(a, 0).expect("ILU(0)");
     println!(
-        "parallel ILU(0) numeric factorization: {:.1} ms ({} workers)",
-        t0.elapsed().as_secs_f64() * 1e3,
-        nprocs
+        "ILU(0) numeric factorization: {:.1} ms",
+        t0.elapsed().as_secs_f64() * 1e3
     );
 
     // Inspect + compile + gather once, reused every iteration.

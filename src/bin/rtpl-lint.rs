@@ -51,7 +51,6 @@ const ORDERING_ALLOWLIST: &[&str] = &[
     "crates/executor/src/barrier.rs",
     "crates/executor/src/cancel.rs",
     "crates/executor/src/protocol.rs",
-    "crates/executor/src/rows.rs",
     "crates/executor/src/shared.rs",
     "crates/executor/src/trace.rs",
     "crates/inspector/src/wavefront.rs",

@@ -1,9 +1,8 @@
-//! Integration tests for the full PCGPAK-substitute pipeline: parallel
+//! Integration tests for the full PCGPAK-substitute pipeline: ILU
 //! factorization + parallel triangular solves inside CG/GMRES on the
 //! paper's problems.
 
 use rtpl::executor::WorkerPool;
-use rtpl::krylov::factor::{parallel_iluk, FactorSync};
 use rtpl::krylov::{
     cg, gmres, ExecutorKind, KrylovConfig, Preconditioner, Sorting, TriangularSolvePlan,
 };
@@ -21,25 +20,13 @@ fn residual(a: &Csr, b: &[f64], x: &[f64]) -> f64 {
 }
 
 #[test]
-fn parallel_factorization_matches_sequential_on_spe2() {
-    let p = TestProblem::build(ProblemId::Spe2);
-    let seq = iluk(&p.matrix, 0).unwrap();
-    let pool = WorkerPool::new(3);
-    let par = parallel_iluk(&pool, &p.matrix, 0, FactorSync::SelfExecuting).unwrap();
-    assert_eq!(seq.l.indices(), par.l.indices());
-    let dl = rtpl::sparse::dense::max_abs_diff(seq.l.data(), par.l.data());
-    let du = rtpl::sparse::dense::max_abs_diff(seq.u.data(), par.u.data());
-    assert!(dl < 1e-12 && du < 1e-12, "dl={dl} du={du}");
-}
-
-#[test]
 fn gmres_ilu_converges_on_spe4_with_parallel_solves() {
     let p = TestProblem::build(ProblemId::Spe4);
     let a = &p.matrix;
     let n = a.nrows();
     let nprocs = 2;
     let pool = WorkerPool::new(nprocs);
-    let f = parallel_iluk(&pool, a, 0, FactorSync::SelfExecuting).unwrap();
+    let f = iluk(a, 0).unwrap();
     let m = Preconditioner::ilu(&f, nprocs, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
     let b: Vec<f64> = (0..n).map(|i| ((i % 11) as f64) - 5.0).collect();
     let mut x = vec![0.0; n];
